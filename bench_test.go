@@ -8,6 +8,7 @@
 package persistbarriers
 
 import (
+	"runtime"
 	"testing"
 
 	"persistbarriers/internal/harness"
@@ -213,7 +214,7 @@ func BenchmarkMicroGeneration(b *testing.B) {
 }
 
 // BenchmarkSimulatorCore measures raw simulation speed: events per second
-// on a queue run under LB++.
+// on a queue run under LB++, and host mallocs per fired event.
 func BenchmarkSimulatorCore(b *testing.B) {
 	spec := workload.Spec{Threads: 8, OpsPerThread: 25, Seed: 1}
 	var prog *trace.Program
@@ -221,6 +222,8 @@ func BenchmarkSimulatorCore(b *testing.B) {
 	if prog, err = workload.Queue(spec); err != nil {
 		b.Fatal(err)
 	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	var events, cycles uint64
 	for i := 0; i < b.N; i++ {
@@ -240,7 +243,10 @@ func BenchmarkSimulatorCore(b *testing.B) {
 		events += m.Engine().Fired()
 		cycles += uint64(m.Engine().Now())
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
 

@@ -9,7 +9,7 @@
 // machine (32 MB of LLC way metadata) costs nothing for the many sets a
 // workload never references. And the per-epoch line bookkeeping keeps each
 // epoch's lines as an incrementally sorted slice, so the flush engine's
-// work list (LinesOf / AppendLinesOf) is already in deterministic order —
+// work list (AppendLinesOf) is already in deterministic order —
 // no sort on any flush.
 package cache
 
@@ -379,21 +379,9 @@ func (c *Cache) Retag(line mem.Line, from, to epoch.ID) {
 	}
 }
 
-// LinesOf returns the resident lines tagged with the given epoch, in
-// deterministic (sorted) order — the flush engine's work list. The slice
-// is freshly allocated; AppendLinesOf reuses a caller buffer instead.
-func (c *Cache) LinesOf(id epoch.ID) []mem.Line {
-	set := c.byEpoch[id]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]mem.Line, len(set))
-	copy(out, set)
-	return out
-}
-
-// AppendLinesOf appends the epoch's resident lines (already sorted) to
-// dst and returns it. The flush engine calls this with a reused scratch
+// AppendLinesOf appends the resident lines tagged with the given epoch to
+// dst, in deterministic (sorted) order — the flush engine's work list —
+// and returns it. The flush engine calls this with a reused scratch
 // buffer, so steady-state flushes do not allocate; the snapshot semantics
 // let the caller clean or invalidate lines while iterating.
 func (c *Cache) AppendLinesOf(dst []mem.Line, id epoch.ID) []mem.Line {

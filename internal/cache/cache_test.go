@@ -145,9 +145,9 @@ func TestWriteTagsAndBookkeeps(t *testing.T) {
 	if !ent.Dirty || ent.Tag != e(2, 7) || ent.Version != 33 {
 		t.Fatalf("after write: %+v", ent)
 	}
-	lines := c.LinesOf(e(2, 7))
+	lines := c.AppendLinesOf(nil, e(2, 7))
 	if len(lines) != 1 || lines[0] != 4 {
-		t.Fatalf("LinesOf = %v", lines)
+		t.Fatalf("AppendLinesOf = %v", lines)
 	}
 }
 
@@ -229,10 +229,10 @@ func TestLinesOfDeterministicOrder(t *testing.T) {
 	for _, l := range []mem.Line{192, 0, 64, 128} {
 		c.Insert(l, true, e(1, 1), 1)
 	}
-	lines := c.LinesOf(e(1, 1))
+	lines := c.AppendLinesOf(nil, e(1, 1))
 	for i := 1; i < len(lines); i++ {
 		if lines[i] <= lines[i-1] {
-			t.Fatalf("LinesOf not sorted: %v", lines)
+			t.Fatalf("AppendLinesOf not sorted: %v", lines)
 		}
 	}
 }

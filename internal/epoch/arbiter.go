@@ -39,7 +39,11 @@ type Arbiter struct {
 	demandSource DemandSourceFunc
 
 	flushing bool
-	stats    ArbiterStats
+	// flushHead is the epoch whose flush is in flight; flushDone (its
+	// completion) and kick are bound once so neither allocates per use.
+	flushHead       *Record
+	flushDone, kick func()
+	stats           ArbiterStats
 }
 
 // SetDemandSource installs the cross-core demand forwarder.
@@ -50,7 +54,19 @@ func NewArbiter(eng *sim.Engine, table *Table, driver FlushDriver) (*Arbiter, er
 	if eng == nil || table == nil || driver == nil {
 		return nil, fmt.Errorf("epoch: arbiter requires engine, table and driver")
 	}
-	return &Arbiter{eng: eng, table: table, driver: driver}, nil
+	a := &Arbiter{eng: eng, table: table, driver: driver}
+	a.flushDone = a.flushed
+	a.kick = a.Kick
+	return a, nil
+}
+
+// flushed runs when the driver's flush of flushHead completes.
+func (a *Arbiter) flushed() {
+	head := a.flushHead
+	a.flushHead = nil
+	a.flushing = false
+	head.FlushCompleted = true
+	a.Kick()
 }
 
 // Table returns the arbiter's epoch table.
@@ -151,11 +167,8 @@ func (a *Arbiter) Kick() {
 		head.State = Flushing
 		a.stats.FlushesDriven++
 		a.table.cfg.Probe.EpochFlushStart(a.eng.Now(), head.ID.Core, head.ID.Num, head.Cause.String())
-		a.driver.FlushEpoch(head, func() {
-			a.flushing = false
-			head.FlushCompleted = true
-			a.Kick()
-		})
+		a.flushHead = head
+		a.driver.FlushEpoch(head, a.flushDone)
 		return
 	}
 }
@@ -172,7 +185,7 @@ func (a *Arbiter) subscribeDeps(r *Record) bool {
 		ready = false
 		if !d.subscribed {
 			d.subscribed = true
-			d.persisted.Subscribe(a.Kick)
+			d.persisted.Subscribe(a.kick)
 		}
 	}
 	return ready

@@ -11,6 +11,63 @@ import (
 	"persistbarriers/internal/sim"
 )
 
+// request is one load or store in flight from a core to its home LLC bank,
+// from issue to completion: the LLC request lifecycle access → atBank →
+// retry/release. Records are pooled per Machine and their continuations
+// bound once at creation, so a request's hops (mesh arrival, queueing
+// behind the line's busy signal, every restart, the grant and the L1
+// fill) schedule events without allocating.
+type request struct {
+	m    *Machine
+	c    *coreCtx
+	kind mem.Kind
+	line mem.Line
+	b    *bankCtx
+	done func()
+	ls   *lineState
+	// busy is the line's transient-state signal (lineState.busy) while
+	// this request holds it: competing requests subscribe here. mshr is
+	// the line's in-flight fill signal (lineState.mshr) during a fill.
+	busy, mshr sim.Signal
+	// tag is the LLC epoch tag the pending conflict check ran against;
+	// dep and ver carry the grant's deferred dependence and data version
+	// across the response latency.
+	tag epoch.ID
+	dep *epoch.Record
+	ver mem.Version
+
+	// The methods below, bound once: atBank, locked, complete, deliver,
+	// commit; the LLC fill's readNVRAM, fillReturn, insertFill, fillDone;
+	// and resolve.
+	arrive, retry, release, granted, filled   func()
+	fillRead, fillData, fillInsert, filledLLC func()
+	resolved                                  func(*epoch.Record)
+}
+
+// newRequest takes a request record from the pool, or builds one.
+func (m *Machine) newRequest(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, done func()) *request {
+	var r *request
+	if n := len(m.requests); n > 0 {
+		r = m.requests[n-1]
+		m.requests = m.requests[:n-1]
+		r.busy.Reset()
+	} else {
+		r = &request{m: m}
+		r.arrive = r.atBank
+		r.retry = r.locked
+		r.release = r.complete
+		r.granted = r.deliver
+		r.filled = r.commit
+		r.fillRead = r.readNVRAM
+		r.fillData = r.fillReturn
+		r.fillInsert = r.insertFill
+		r.filledLLC = r.fillDone
+		r.resolved = r.resolve
+	}
+	r.c, r.kind, r.line, r.b, r.done = c, kind, line, b, done
+	return r
+}
+
 // access serves one load or store for core c, firing done at completion.
 // This is the path on which epoch conflicts are detected (Section 3).
 func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) {
@@ -31,38 +88,39 @@ func (m *Machine) access(c *coreCtx, kind mem.Kind, line mem.Line, done func()) 
 		// Shared hit needing an upgrade: take the LLC path for ownership.
 	}
 	b := m.bank(line)
-	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, b.tile, 0), func() {
-		m.atBank(c, kind, line, b, done)
-	})
+	r := m.newRequest(c, kind, line, b, done)
+	m.eng.After(m.cfg.L1Latency+m.mesh.Latency(c.tile, b.tile, 0), r.arrive)
 }
 
 // atBank is the request's arrival at the home LLC bank. The bank admits
 // one request per line at a time (the transient-state blocking a real
 // controller's MSHRs provide): competing requests queue behind the line's
 // busy signal, which eliminates ownership races and request livelock.
-func (m *Machine) atBank(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, done func()) {
-	ls := m.lines.get(line)
+func (r *request) atBank() {
+	m := r.m
+	ls := m.lines.get(r.line)
 	if ls.busy != nil {
-		ls.busy.Subscribe(func() { m.atBank(c, kind, line, b, done) })
+		ls.busy.Subscribe(r.arrive)
 		return
 	}
-	sig := &sim.Signal{}
-	ls.busy = sig
+	r.ls = ls
+	ls.busy = &r.busy
 	if m.trackBusy {
-		ls.busyInfo = fmt.Sprintf("core=%d kind=%v at=%d", c.id, kind, m.eng.Now())
+		ls.busyInfo = fmt.Sprintf("core=%d kind=%v at=%d", r.c.id, r.kind, m.eng.Now())
 	}
-	// One retry closure serves every restart of this request (mshr merge,
-	// recall, fill, tag change, ownership race) instead of allocating a
-	// fresh continuation per hop.
-	var retry func()
-	release := func() {
-		ls.busy = nil
-		ls.busyInfo = ""
-		sig.Fire()
-		done()
-	}
-	retry = func() { m.atBankLocked(c, kind, line, b, ls, retry, release) }
-	m.atBankLocked(c, kind, line, b, ls, retry, release)
+	r.locked()
+}
+
+// complete releases the line's busy signal, returns the record to the
+// pool and completes the request: its terminal continuation.
+func (r *request) complete() {
+	m, ls, done := r.m, r.ls, r.done
+	ls.busy = nil
+	ls.busyInfo = ""
+	r.busy.Fire()
+	r.c, r.b, r.ls, r.done, r.dep = nil, nil, nil, nil, nil
+	m.requests = append(m.requests, r)
+	done()
 }
 
 // busyPhase updates the line's transient-state holder description; only
@@ -74,41 +132,46 @@ func (m *Machine) busyPhase(c *coreCtx, kind mem.Kind, ls *lineState, p string) 
 	}
 }
 
-// atBankLocked processes a request that holds the line's transient state:
+// locked processes a request that holds the line's transient state:
 // recall a remote modified copy, ensure residency, run the conflict check,
-// then grant. retry restarts the locked request from the top; done
-// releases the busy signal and completes it.
-func (m *Machine) atBankLocked(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, ls *lineState, retry, done func()) {
+// then grant. Every restart (mshr merge, recall, fill, tag change,
+// ownership race) re-enters here through r.retry.
+func (r *request) locked() {
+	m, c, kind, line, b, ls := r.m, r.c, r.kind, r.line, r.b, r.ls
 	if sig := ls.mshr; sig != nil {
 		// A fill for this line is in flight; merge behind it.
 		m.busyPhase(c, kind, ls, "mshr-wait")
-		sig.Subscribe(retry)
+		sig.Subscribe(r.retry)
 		return
 	}
 	d := &ls.dir
 	if d.owner >= 0 && d.owner != c.id {
 		m.busyPhase(c, kind, ls, "recall")
-		m.recallOwner(c, kind, line, b, d, retry)
+		m.recallOwner(c, kind, line, b, d, r.retry)
 		return
 	}
 	if !b.arr.Contains(line) {
 		m.busyPhase(c, kind, ls, "fill")
-		m.llcFill(c, b, line, ls, retry)
+		r.llcFill()
 		return
 	}
 	ent, _ := b.arr.Lookup(line)
 	m.busyPhase(c, kind, ls, "conflict")
-	m.resolveConflict(c, kind, line, ent.Tag, func(dep *epoch.Record) {
-		// An online resolution may have waited; if a new epoch's version
-		// landed in the LLC meanwhile, the conflict check must be redone
-		// against the fresh tag.
-		if cur, ok := b.arr.Peek(line); !ok || cur.Tag != ent.Tag {
-			retry()
-			return
-		}
-		m.busyPhase(c, kind, ls, "grant")
-		m.grant(c, kind, line, b, d, dep, retry, done)
-	})
+	r.tag = ent.Tag
+	m.resolveConflict(c, kind, line, ent.Tag, r.resolved)
+}
+
+// resolve continues a locked request once its conflict check resolved.
+// An online resolution may have waited; if a new epoch's version landed
+// in the LLC meanwhile, the conflict check must be redone against the
+// fresh tag.
+func (r *request) resolve(dep *epoch.Record) {
+	if cur, ok := r.b.arr.Peek(r.line); !ok || cur.Tag != r.tag {
+		r.locked()
+		return
+	}
+	r.m.busyPhase(r.c, r.kind, r.ls, "grant")
+	r.m.grant(r, dep)
 }
 
 // recallOwner pulls the line out of the current owner's L1: its dirty data
@@ -123,7 +186,9 @@ func (m *Machine) recallOwner(c *coreCtx, kind mem.Kind, line mem.Line, b *bankC
 			return
 		}
 		ent, has := o.l1.Peek(line)
-		m.dbg(line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, kind, has, ent.Dirty, ent.Tag, ent.Version)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "recallOwner from=%d kind=%v has=%v dirty=%v tag=%v ver=%d", o.id, kind, has, ent.Dirty, ent.Tag, ent.Version)
+		}
 		finish := func() {
 			// The writeback may have waited on an epoch flush and the
 			// world may have moved. Downgrade o's copy only if it still
@@ -167,7 +232,9 @@ func (m *Machine) recallOwner(c *coreCtx, kind mem.Kind, line mem.Line, b *bankC
 func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver mem.Version, cont func()) {
 	if !b.arr.Contains(line) {
 		// Inclusion was broken by a concurrent eviction: re-establish.
-		m.dbg(line, "llcApplyWriteback reinsert tag=%v ver=%d", tag, ver)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "llcApplyWriteback reinsert tag=%v ver=%d", tag, ver)
+		}
 		m.llcInsert(nil, b, line, ver, func() {
 			m.llcApplyWriteback(b, line, tag, ver, cont)
 		})
@@ -175,7 +242,9 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 	}
 	ent, _ := b.arr.Peek(line)
 	if ent.Version > ver {
-		m.dbg(line, "llcApplyWriteback stale-skip tag=%v ver=%d entVer=%d entTag=%v entDirty=%v", tag, ver, ent.Version, ent.Tag, ent.Dirty)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(line, "llcApplyWriteback stale-skip tag=%v ver=%d entVer=%d entTag=%v entDirty=%v", tag, ver, ent.Version, ent.Tag, ent.Dirty)
+		}
 		cont() // a newer version already landed; drop the stale data
 		return
 	}
@@ -186,7 +255,9 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 		// epoch is still unpersisted; otherwise the copy is legitimately
 		// clean.
 		if !ent.Dirty && m.lookupRec(tag) != nil {
-			m.dbg(line, "llcApplyWriteback restore-tag tag=%v ver=%d", tag, ver)
+			if m.cfg.DebugLine != 0 {
+				m.dbg(line, "llcApplyWriteback restore-tag tag=%v ver=%d", tag, ver)
+			}
 			b.arr.Write(line, tag, ver)
 		}
 		cont()
@@ -206,28 +277,41 @@ func (m *Machine) llcApplyWriteback(b *bankCtx, line mem.Line, tag epoch.ID, ver
 			return
 		}
 	}
-	m.dbg(line, "llcApplyWriteback apply tag=%v ver=%d", tag, ver)
+	if m.cfg.DebugLine != 0 {
+		m.dbg(line, "llcApplyWriteback apply tag=%v ver=%d", tag, ver)
+	}
 	b.arr.Write(line, tag, ver)
 	cont()
 }
 
-// llcFill fetches a missing line from NVRAM into the bank.
-func (m *Machine) llcFill(c *coreCtx, b *bankCtx, line mem.Line, ls *lineState, cont func()) {
-	sig := &sim.Signal{}
-	ls.mshr = sig
-	mc := m.mcs.ControllerFor(line)
-	mcTile := m.mcTiles[mc.ID()]
-	m.eng.After(m.mesh.Latency(b.tile, mcTile, 0), func() {
-		mc.Read(line, func() {
-			m.eng.After(m.mesh.Latency(mcTile, b.tile, mem.LineSize), func() {
-				m.llcInsert(c, b, line, ls.latest, func() {
-					ls.mshr = nil
-					sig.Fire()
-					cont()
-				})
-			})
-		})
-	})
+// llcFill fetches the request's missing line from NVRAM into the bank,
+// then restarts the locked request.
+func (r *request) llcFill() {
+	m := r.m
+	r.mshr.Reset()
+	r.ls.mshr = &r.mshr
+	mc := m.mcs.ControllerFor(r.line)
+	m.eng.After(m.mesh.Latency(r.b.tile, m.mcTiles[mc.ID()], 0), r.fillRead)
+}
+
+// readNVRAM is the fill request's arrival at the memory controller.
+func (r *request) readNVRAM() { r.m.mcs.ControllerFor(r.line).Read(r.line, r.fillData) }
+
+// fillReturn sends the read data back across the mesh to the bank.
+func (r *request) fillReturn() {
+	m := r.m
+	mcTile := m.mcTiles[m.mcs.ControllerFor(r.line).ID()]
+	m.eng.After(m.mesh.Latency(mcTile, r.b.tile, mem.LineSize), r.fillInsert)
+}
+
+// insertFill places the fetched line into the bank.
+func (r *request) insertFill() { r.m.llcInsert(r.c, r.b, r.line, r.ls.latest, r.filledLLC) }
+
+// fillDone clears the line's MSHR and restarts the request.
+func (r *request) fillDone() {
+	r.ls.mshr = nil
+	r.mshr.Fire()
+	r.locked()
 }
 
 // llcInsert places a line into the bank, resolving the victim's coherence
@@ -274,7 +358,9 @@ func (m *Machine) llcInsert(c *coreCtx, b *bankCtx, line mem.Line, ver mem.Versi
 		vd.owner = -1
 	}
 	finishInsert := func() {
-		m.dbg(v.Line, "llcInsert evict victim dirty=%v tag=%v ver=%d", v.Dirty, v.Tag, v.Version)
+		if m.cfg.DebugLine != 0 {
+			m.dbg(v.Line, "llcInsert evict victim dirty=%v tag=%v ver=%d", v.Dirty, v.Tag, v.Version)
+		}
 		m.backInvalidate(v.Line, vd)
 		if vd.owner >= 0 {
 			// A dirty private copy survived an ownership race; the
@@ -366,20 +452,21 @@ func (m *Machine) backInvalidate(line mem.Line, d *dirEntry) {
 
 // grant finishes a request at the bank: data response for loads,
 // ownership (with sharer invalidation) for stores. dep is the deferred
-// inter-thread dependence to attach at completion; retry restarts the
-// locked request.
-func (m *Machine) grant(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, d *dirEntry, dep *epoch.Record, retry, done func()) {
+// inter-thread dependence to attach at completion.
+func (m *Machine) grant(r *request, dep *epoch.Record) {
+	c, line, b, d := r.c, r.line, r.b, &r.ls.dir
 	if !b.arr.Contains(line) {
-		retry() // evicted while we waited: restart
+		r.locked() // evicted while we waited: restart
 		return
 	}
-	if kind == mem.Store && d.owner >= 0 && d.owner != c.id {
-		retry() // ownership raced away: restart
+	if r.kind == mem.Store && d.owner >= 0 && d.owner != c.id {
+		r.locked() // ownership raced away: restart
 		return
 	}
 	ent, _ := b.arr.Peek(line)
+	r.dep, r.ver = dep, ent.Version
 	respLat := m.cfg.LLCLatency + m.mesh.Latency(b.tile, c.tile, mem.LineSize)
-	if kind == mem.Store {
+	if r.kind == mem.Store {
 		// Invalidate the other sharers; the slowest round trip bounds
 		// the grant.
 		var invLat sim.Cycle
@@ -404,20 +491,24 @@ func (m *Machine) grant(c *coreCtx, kind mem.Kind, line mem.Line, b *bankCtx, d 
 		}
 		// The line's busy signal (held since atBank) covers the transfer
 		// until the commit completes.
-		m.eng.After(respLat, func() {
-			m.l1Fill(c, line, ent.Version, func() {
-				m.tryCommitStoreEx(c, line, dep, retry, done)
-			})
-		})
+		m.eng.After(respLat, r.granted)
 		return
 	}
 	d.sharers |= 1 << uint(c.id)
-	m.eng.After(respLat, func() {
-		m.l1Fill(c, line, ent.Version, func() {
-			// Loads attach their inter-thread dependence at completion.
-			m.attachDep(c, dep, done)
-		})
-	})
+	m.eng.After(respLat, r.granted)
+}
+
+// deliver is the grant's data response reaching the requesting L1.
+func (r *request) deliver() { r.m.l1Fill(r.c, r.line, r.ver, r.filled) }
+
+// commit completes a granted request once its L1 holds the line: a store
+// commits (or restarts), a load attaches its inter-thread dependence.
+func (r *request) commit() {
+	if r.kind == mem.Store {
+		r.m.tryCommitStoreEx(r.c, r.line, r.dep, r.retry, r.release)
+		return
+	}
+	r.m.attachDep(r.c, r.dep, r.release)
 }
 
 // tryCommitStore commits a store whose ordering conflicts were resolved,
@@ -537,7 +628,9 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 	cur := c.table.Current()
 	first := cur.AddPending(line)
 	prev := c.l1.Write(line, cur.ID, ver)
-	m.dbg(line, "commitStore core=%d epoch=%v ver=%d prev={dirty=%v tag=%v ver=%d}", c.id, cur.ID, ver, prev.Dirty, prev.Tag, prev.Version)
+	if m.cfg.DebugLine != 0 {
+		m.dbg(line, "commitStore core=%d epoch=%v ver=%d prev={dirty=%v tag=%v ver=%d}", c.id, cur.ID, ver, prev.Dirty, prev.Tag, prev.Version)
+	}
 	if prev.Dirty && prev.Tag.Valid() && prev.Tag != cur.ID && m.lookupRec(prev.Tag) != nil {
 		panic(fmt.Sprintf("machine: store on core %d overwrote unpersisted %v version of %v",
 			c.id, prev.Tag, line))
@@ -625,22 +718,55 @@ func (m *Machine) wtIssueHead(c *coreCtx) {
 	})
 }
 
+// nvWrite is one durable line write in flight from a tile to its memory
+// controller. Records are pooled per Machine with their continuations
+// bound once, so the write → PersistAck chain schedules without
+// allocating.
+type nvWrite struct {
+	m    *Machine
+	mc   *nvram.Controller
+	rec  *epoch.Record
+	line mem.Line
+	ver  mem.Version
+	ack  func()
+
+	issue, durable func()
+}
+
 // nvramWriteFrom issues a durable line write from a tile, notifying the
 // epoch bookkeeping (and optional ack) when the PersistAck returns.
 func (m *Machine) nvramWriteFrom(from noc.Tile, rec *epoch.Record, line mem.Line, ver mem.Version, ack func()) {
 	if rec != nil {
 		rec.AcksInFlight++
 	}
-	mc := m.mcs.ControllerFor(line)
-	mcTile := m.mcTiles[mc.ID()]
-	m.eng.After(m.mesh.Latency(from, mcTile, mem.LineSize), func() {
-		mc.Write(line, ver, func() {
-			m.lineDurable(rec, line, ver)
-			if ack != nil {
-				ack()
-			}
-		})
-	})
+	var w *nvWrite
+	if n := len(m.nvWrites); n > 0 {
+		w = m.nvWrites[n-1]
+		m.nvWrites = m.nvWrites[:n-1]
+	} else {
+		w = &nvWrite{m: m}
+		w.issue = w.send
+		w.durable = w.persistAck
+	}
+	w.mc = m.mcs.ControllerFor(line)
+	w.rec, w.line, w.ver, w.ack = rec, line, ver, ack
+	m.eng.After(m.mesh.Latency(from, m.mcTiles[w.mc.ID()], mem.LineSize), w.issue)
+}
+
+// send is the write's arrival at its memory controller.
+func (w *nvWrite) send() { w.mc.Write(w.line, w.ver, w.durable) }
+
+// persistAck is the write's PersistAck: the record returns to the pool,
+// then the epoch bookkeeping and the optional ack run. It is the record's
+// terminal continuation.
+func (w *nvWrite) persistAck() {
+	m, rec, line, ver, ack := w.m, w.rec, w.line, w.ver, w.ack
+	w.mc, w.rec, w.ack = nil, nil, nil
+	m.nvWrites = append(m.nvWrites, w)
+	m.lineDurable(rec, line, ver)
+	if ack != nil {
+		ack()
+	}
 }
 
 // lookupRec resolves a cache tag to its live epoch record, or nil when the

@@ -24,14 +24,6 @@ func (m *Machine) stepCore(c *coreCtx) {
 	}
 	op := c.ops[c.pc]
 	c.pc++
-	if c.after == nil {
-		c.after = func() {
-			if m.cfg.RecordOpTimes {
-				c.opTimes = append(c.opTimes, m.eng.Now())
-			}
-			m.stepCore(c)
-		}
-	}
 	after := c.after
 	switch op.Kind {
 	case trace.Compute:
@@ -63,34 +55,23 @@ func (m *Machine) stepCore(c *coreCtx) {
 			}
 			c.pendingTok[line] = op.Token
 		}
-		m.postStore(c, mem.LineOf(op.Addr), after)
+		m.postStore(c, mem.LineOf(op.Addr))
 	default:
 		panic("machine: unknown op kind")
 	}
 }
 
-// postStore issues a store through the write buffer (Table 1: 32 entries):
-// the core moves on after the issue latency while the access completes in
-// the background, stalling only when the buffer is full. Strict
-// persistency bypasses the buffer — rule S2 forbids a store to issue
-// before its predecessor persisted.
-func (m *Machine) postStore(c *coreCtx, line mem.Line, cont func()) {
-	if m.cfg.Model == SP || m.cfg.WriteBuffer == 0 {
-		m.countBulkStore(c)
-		m.access(c, mem.Store, line, func() { m.afterStore(c, cont) })
-		return
+// bindCore builds c's hoisted continuations: shared by every op the core
+// executes, so none is allocated per op.
+func (m *Machine) bindCore(c *coreCtx) {
+	c.after = func() {
+		if m.cfg.RecordOpTimes {
+			c.opTimes = append(c.opTimes, m.eng.Now())
+		}
+		m.stepCore(c)
 	}
-	if c.wbOutstanding >= m.cfg.WriteBuffer {
-		t0 := m.eng.Now()
-		c.wbFull = append(c.wbFull, func() {
-			c.stalls[StallWriteBuffer] += m.eng.Now() - t0
-			m.postStore(c, line, cont)
-		})
-		return
-	}
-	c.wbOutstanding++
-	m.countBulkStore(c)
-	m.access(c, mem.Store, line, func() {
+	c.storeIssued = func() { m.afterStore(c, c.after) }
+	c.storeDone = func() {
 		c.wbOutstanding--
 		if len(c.wbFull) > 0 {
 			w := c.wbFull[0]
@@ -102,8 +83,33 @@ func (m *Machine) postStore(c *coreCtx, line mem.Line, cont func()) {
 			c.wbDrain = nil
 			d()
 		}
-	})
-	m.eng.After(m.cfg.L1Latency, func() { m.afterStore(c, cont) })
+	}
+}
+
+// postStore issues a store through the write buffer (Table 1: 32 entries):
+// the core moves on after the issue latency while the access completes in
+// the background, stalling only when the buffer is full. Strict
+// persistency bypasses the buffer — rule S2 forbids a store to issue
+// before its predecessor persisted. Either way the core continues with
+// its next op.
+func (m *Machine) postStore(c *coreCtx, line mem.Line) {
+	if m.cfg.Model == SP || m.cfg.WriteBuffer == 0 {
+		m.countBulkStore(c)
+		m.access(c, mem.Store, line, c.storeIssued)
+		return
+	}
+	if c.wbOutstanding >= m.cfg.WriteBuffer {
+		t0 := m.eng.Now()
+		c.wbFull = append(c.wbFull, func() {
+			c.stalls[StallWriteBuffer] += m.eng.Now() - t0
+			m.postStore(c, line)
+		})
+		return
+	}
+	c.wbOutstanding++
+	m.countBulkStore(c)
+	m.access(c, mem.Store, line, c.storeDone)
+	m.eng.After(m.cfg.L1Latency, c.storeIssued)
 }
 
 // countBulkStore tracks the hardware persistence engine's store quota.

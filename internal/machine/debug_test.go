@@ -1,7 +1,11 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"persistbarriers/internal/mem"
 )
 
 // TestLivenessDiagnostics is a bounded liveness regression with rich
@@ -91,4 +95,44 @@ func TestLivenessDiagnostics(t *testing.T) {
 		t.Log(l)
 	}
 	t.Fail()
+}
+
+// TestDebugTraceOnlyForTracedLine checks the guarded dbg call sites: a
+// run tracing one line records entries for that line only, and a run
+// with tracing off records none.
+func TestDebugTraceOnlyForTracedLine(t *testing.T) {
+	p := randomProgram(21, 4, 200, true)
+	for _, line := range []uint64{0, 0x505} {
+		cfg := testConfig(LB)
+		cfg.L1Sets, cfg.L1Ways = 4, 2
+		cfg.LLCSets, cfg.LLCWays = 8, 2
+		cfg.IDT = true
+		cfg.DebugLine = line
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := m.DebugTrace()
+		if line == 0 {
+			if len(got) != 0 {
+				t.Fatalf("tracing off recorded %d entries", len(got))
+			}
+			continue
+		}
+		if len(got) == 0 {
+			t.Fatalf("tracing line %#x recorded nothing", line)
+		}
+		want := fmt.Sprintf(" %v: ", mem.Line(line))
+		for _, e := range got {
+			if !strings.Contains(e, want) {
+				t.Fatalf("entry %q is not for line %v", e, mem.Line(line))
+			}
+		}
+	}
 }

@@ -84,6 +84,9 @@ type coreCtx struct {
 
 	table *epoch.Table
 	arb   *epoch.Arbiter
+	// kick is arb.Kick bound once, for continuations that re-kick the
+	// arbiter.
+	kick func()
 
 	ops []trace.Op
 	pc  int
@@ -106,6 +109,10 @@ type coreCtx struct {
 	// finds this core parked (per-Feed closures would allocate on the
 	// group-commit hot path).
 	wake func()
+	// storeIssued continues the core after a posted store issues;
+	// storeDone frees the store's write-buffer slot at completion. Both
+	// are hoisted like after.
+	storeIssued, storeDone func()
 
 	// pendingTok maps a line to the token of the tagged store currently
 	// in flight to it (see trace.Op.Token).
@@ -156,10 +163,12 @@ type Machine struct {
 	// avoidBusy is the victim filter llcInsert passes to VictimAvoiding,
 	// built once so the hot path does not allocate a closure per insert.
 	avoidBusy func(mem.Line) bool
-	// lineBufs is a free-list of flush-set scratch buffers; flushes can
-	// nest (a demanded flush inside flushEpoch), so buffers are acquired
-	// and released stack-wise rather than shared.
-	lineBufs [][]mem.Line
+	// Free lists of the pooled continuation records (flush handshakes,
+	// LLC requests, NVRAM line writes). Each record is pushed back by its
+	// terminal continuation; see DESIGN.md.
+	flushOps []*flushOp
+	requests []*request
+	nvWrites []*nvWrite
 
 	vs      mem.VersionSource
 	mcTiles []noc.Tile
@@ -178,7 +187,7 @@ type Machine struct {
 
 	// Global-arbiter ablation state: one flush in flight machine-wide.
 	globalFlushBusy    bool
-	globalFlushWaiters []func()
+	globalFlushWaiters []*flushOp
 
 	// Streaming-mode state (see stream.go): ops arrive at runtime via
 	// Feed instead of a preloaded program.
@@ -267,7 +276,9 @@ func New(cfg Config) (*Machine, error) {
 				return nil, err
 			}
 			c.arb = arb
+			c.kick = arb.Kick
 		}
+		m.bindCore(c)
 		m.cores = append(m.cores, c)
 	}
 	if m.usesEpochs() {
@@ -342,24 +353,6 @@ func (m *Machine) latestVersion(line mem.Line) mem.Version {
 		return ls.latest
 	}
 	return 0
-}
-
-// acquireLineBuf returns an empty flush-set scratch buffer, reusing a
-// released one when available.
-func (m *Machine) acquireLineBuf() []mem.Line {
-	if n := len(m.lineBufs); n > 0 {
-		buf := m.lineBufs[n-1]
-		m.lineBufs = m.lineBufs[:n-1]
-		return buf[:0]
-	}
-	return nil
-}
-
-// releaseLineBuf returns a scratch buffer to the free-list.
-func (m *Machine) releaseLineBuf(buf []mem.Line) {
-	if cap(buf) > 0 {
-		m.lineBufs = append(m.lineBufs, buf)
-	}
 }
 
 // Load installs a program onto the cores. Traces beyond Config.Cores are
@@ -511,7 +504,9 @@ func (m *Machine) lineDurable(rec *epoch.Record, line mem.Line, ver mem.Version)
 	if rec != nil {
 		recID = rec.ID
 	}
-	m.dbg(line, "lineDurable rec=%v ver=%d", recID, ver)
+	if m.cfg.DebugLine != 0 {
+		m.dbg(line, "lineDurable rec=%v ver=%d", recID, ver)
+	}
 	m.persistedLines++
 	if m.cfg.Probe.Active() {
 		m.cfg.Probe.PersistAck(m.eng.Now(), line, recID.Core, recID.Num)
@@ -554,6 +549,8 @@ func (m *Machine) lineDurable(rec *epoch.Record, line mem.Line, ver mem.Version)
 }
 
 // dbg appends a trace entry when line tracing is enabled for this line.
+// Callers guard each call with cfg.DebugLine != 0, so disabled tracing
+// never boxes the variadic arguments.
 func (m *Machine) dbg(line mem.Line, format string, args ...any) {
 	if m.cfg.DebugLine == 0 || mem.Line(m.cfg.DebugLine) != line {
 		return

@@ -66,6 +66,32 @@ type Controller struct {
 
 	stats Stats
 	probe *obs.Probe
+
+	// writes is the free list of in-flight write records.
+	writes []*lineWrite
+}
+
+// lineWrite is one line write in service at a controller. Records are
+// pooled per controller and their landing continuation bound once, so a
+// write schedules its PersistAck without allocating.
+type lineWrite struct {
+	c    *Controller
+	line mem.Line
+	v    mem.Version
+	done func()
+	land func()
+}
+
+// persist makes the write durable, returns the record to the pool and
+// runs the PersistAck.
+func (w *lineWrite) persist() {
+	c, done := w.c, w.done
+	c.image[w.line] = w.v
+	w.done = nil
+	c.writes = append(c.writes, w)
+	if done != nil {
+		done()
+	}
 }
 
 // Stats counts controller activity.
@@ -136,12 +162,16 @@ func (c *Controller) Read(line mem.Line, done func()) {
 func (c *Controller) Write(line mem.Line, v mem.Version, done func()) {
 	start := c.admit(c.cfg.WriteService)
 	c.stats.Writes++
-	c.eng.At(start+c.cfg.WriteLatency, func() {
-		c.image[line] = v
-		if done != nil {
-			done()
-		}
-	})
+	var w *lineWrite
+	if n := len(c.writes); n > 0 {
+		w = c.writes[n-1]
+		c.writes = c.writes[:n-1]
+	} else {
+		w = &lineWrite{c: c}
+		w.land = w.persist
+	}
+	w.line, w.v, w.done = line, v, done
+	c.eng.At(start+c.cfg.WriteLatency, w.land)
 }
 
 // WriteLog durably appends an undo-log entry. done fires when the entry is
@@ -218,9 +248,6 @@ func (b *Bank) AttachProbe(p *obs.Probe) {
 func (b *Bank) ControllerFor(line mem.Line) *Controller {
 	return b.ctrls[int(uint64(line)%uint64(len(b.ctrls)))]
 }
-
-// Controllers returns the underlying controllers.
-func (b *Bank) Controllers() []*Controller { return b.ctrls }
 
 // PersistedVersion returns the durable version of line (a point query on
 // the owning controller; NoVersion when never persisted).

@@ -190,25 +190,21 @@ func TestSignalDoubleFireIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestBarrierFiresOnLastArrival(t *testing.T) {
-	fired := false
-	b := NewBarrier(3, func() { fired = true })
-	b.Arrive()
-	b.Arrive()
-	if fired {
-		t.Fatal("barrier fired early")
+func TestSignalResetRearms(t *testing.T) {
+	var s Signal
+	hits := 0
+	s.Subscribe(func() { hits++ })
+	s.Fire()
+	s.Reset()
+	if s.Fired() {
+		t.Fatal("Fired() = true after Reset")
 	}
-	b.Arrive()
-	if !fired {
-		t.Fatal("barrier did not fire on last arrival")
+	s.Subscribe(func() { hits += 10 })
+	if hits != 1 {
+		t.Fatalf("hits = %d after re-subscribing, want 1", hits)
 	}
-	b.Arrive() // extra arrivals are ignored
-}
-
-func TestBarrierZeroCountFiresImmediately(t *testing.T) {
-	fired := false
-	NewBarrier(0, func() { fired = true })
-	if !fired {
-		t.Fatal("zero-count barrier did not fire at construction")
+	s.Fire()
+	if hits != 11 {
+		t.Fatalf("hits = %d, want 11: the first round's subscriber must not run again", hits)
 	}
 }

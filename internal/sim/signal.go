@@ -24,52 +24,22 @@ func (s *Signal) Subscribe(fn func()) {
 }
 
 // Fire raises the signal, running all subscribers in order. Firing twice is
-// a no-op; the protocol layers treat signals as monotone facts.
+// a no-op; the protocol layers treat signals as monotone facts. The
+// subscriber list keeps its storage, so a signal recycled with Reset
+// subscribes without allocating.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
 	subs := s.subs
-	s.subs = nil
-	for _, fn := range subs {
+	s.subs = subs[:0]
+	for i, fn := range subs {
+		subs[i] = nil
 		fn()
 	}
 }
 
-// Barrier counts down from n and fires a callback when it reaches zero.
-// It models ack-collection points such as the arbiter waiting for BankAck
-// messages from every LLC bank.
-type Barrier struct {
-	remaining int
-	done      func()
-}
-
-// NewBarrier returns a Barrier expecting n arrivals. If n <= 0 the callback
-// fires immediately at construction.
-func NewBarrier(n int, done func()) *Barrier {
-	b := &Barrier{remaining: n, done: done}
-	if n <= 0 {
-		b.fire()
-	}
-	return b
-}
-
-// Arrive records one arrival; the callback fires on the last one.
-func (b *Barrier) Arrive() {
-	if b.remaining <= 0 {
-		return
-	}
-	b.remaining--
-	if b.remaining == 0 {
-		b.fire()
-	}
-}
-
-func (b *Barrier) fire() {
-	if b.done != nil {
-		d := b.done
-		b.done = nil
-		d()
-	}
-}
+// Reset re-arms a fired signal for reuse. Only the owner of a recycled
+// signal calls it, once nothing can still hold the signal to subscribe.
+func (s *Signal) Reset() { s.fired = false }
