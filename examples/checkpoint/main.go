@@ -65,7 +65,10 @@ func main() {
 		// Recovery, exactly as §5.2.1 describes: roll back every line
 		// whose durable version belongs to an epoch the hardware had not
 		// declared persisted, using the durable undo log.
-		g := recovery.NewGraph(result.Histories)
+		g, err := recovery.NewGraph(result.Histories)
+		if err != nil {
+			log.Fatal(err)
+		}
 		recovered := recovery.Rollback(g, result.Image, result.UndoLog)
 		rolledBack := 0
 		for line, v := range result.Image {
@@ -81,10 +84,10 @@ func main() {
 			crash, result.Epochs.Persisted, len(result.UndoLog))
 		fmt.Printf("rollback restored %d lines of partially-persisted epochs\n", rolledBack)
 
-		if err := recovery.CheckAtomicity(g, recovered); err != nil {
+		if err := g.Durability(recovered).CheckAtomicity(); err != nil {
 			log.Fatalf("recovered state NOT epoch-atomic: %v", err)
 		}
-		if err := recovery.CheckOrdering(g, result.Image); err != nil {
+		if err := g.Durability(result.Image).CheckOrdering(); err != nil {
 			log.Fatalf("persist ordering violated: %v", err)
 		}
 		fmt.Println("recovered state is epoch-atomic ✓ — restart from the last checkpoint is safe")

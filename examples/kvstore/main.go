@@ -73,19 +73,15 @@ func main() {
 	// histories, strengthen it with the per-bucket publish order, and
 	// verify every invariant — epoch ordering, persisted-set closure, KV
 	// atomicity (no torn entries), and per-session prefix durability.
-	report, err := engine.Verify(result)
+	// The check replays the durable publishes and hands back the recovered
+	// contents — what a restarting kvstore would actually serve.
+	report, recovered, err := engine.Verify(result)
 	if err != nil {
 		log.Fatalf("INCONSISTENT persistent state: %v", err)
 	}
 	fmt.Printf("recovery check: %d epochs, %d publish-order edges, %d/%d publishes durable ✓\n",
 		report.Epochs, report.PublishEdges, report.DurablePublishes, report.TotalPublishes)
 
-	// Reconstruct the durable contents — what a restarting kvstore would
-	// actually serve.
-	recovered, err := engine.RecoveredState(result)
-	if err != nil {
-		log.Fatal(err)
-	}
 	keys := make([]string, 0, len(recovered))
 	for k := range recovered {
 		keys = append(keys, k)

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"slices"
 	"testing"
 
 	"persistbarriers/internal/mem"
@@ -330,7 +331,7 @@ func TestHistoryRecordsWritesAndDeps(t *testing.T) {
 	eng, tbl, arb, _ := harness(t, cfg)
 	cur := tbl.Current()
 	cur.AddPending(10)
-	cur.Writes[10] = 42
+	tbl.RecordWrite(10, 42)
 	src := &sim.Signal{}
 	src.Fire()
 	tbl.AddDependence(cur, ID{Core: 3, Num: 1}, src)
@@ -343,7 +344,7 @@ func TestHistoryRecordsWritesAndDeps(t *testing.T) {
 	if len(hist) != 2 { // persisted epoch 0 + the open, unpersisted epoch 1
 		t.Fatalf("history length = %d, want 2: %+v", len(hist), hist)
 	}
-	if hist[0].ID.Num != 0 || !hist[0].PersistedFlag || hist[0].Writes[10] != 42 {
+	if hist[0].ID.Num != 0 || !hist[0].PersistedFlag || !slices.Equal(hist[0].Writes, WriteSet{{Line: 10, Version: 42}}) {
 		t.Fatalf("persisted summary = %+v", hist[0])
 	}
 	if len(hist[0].Deps) != 1 || hist[0].Deps[0] != (ID{Core: 3, Num: 1}) {

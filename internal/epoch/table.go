@@ -119,9 +119,9 @@ type Record struct {
 	// has not yet reached NVRAM.
 	Pending map[mem.Line]struct{}
 
-	// Writes is the final version written to each line in this epoch.
-	// Populated only when the table records history (recovery checking).
-	Writes map[mem.Line]mem.Version
+	// Writes is the epoch's write set, set when the epoch completes and
+	// only when the table records history (recovery checking).
+	Writes WriteSet
 
 	// Deps are the IDT dependence registers (§4.2).
 	Deps []Dep
@@ -210,10 +210,11 @@ type Config struct {
 // DefaultConfig matches Section 4.3's hardware sizing.
 func DefaultConfig() Config { return Config{MaxInFlight: 8, DepRegs: 4} }
 
-// Summary is the retained history of a closed epoch (recovery checking).
+// Summary is the retained history of an epoch (recovery checking).
 type Summary struct {
-	ID          ID
-	Writes      map[mem.Line]mem.Version
+	ID ID
+	// Writes aliases the core's write log, Deps its edge log.
+	Writes      WriteSet
 	Deps        []ID
 	AdvReason   AdvanceReason
 	Cause       FlushCause
@@ -247,7 +248,13 @@ type Table struct {
 	nextNum uint64
 	window  []*Record // unpersisted epochs, oldest first; last is current
 
-	history []*Summary
+	// History recording: wlog is the current chunk of the core's write
+	// log, whose run from wopen holds the open epoch's stores; elog is the
+	// current chunk of its edge log.
+	wlog    []Write
+	wopen   int
+	elog    []ID
+	history []Summary
 	stats   Stats
 }
 
@@ -270,9 +277,6 @@ func (t *Table) open(now sim.Cycle) *Record {
 		State:   Open,
 		Pending: make(map[mem.Line]struct{}),
 		Cause:   CauseNone,
-	}
-	if t.cfg.RecordHistory {
-		r.Writes = make(map[mem.Line]mem.Version)
 	}
 	t.nextNum++
 	t.window = append(t.window, r)
@@ -315,6 +319,9 @@ func (t *Table) Advance(now sim.Cycle, why AdvanceReason) *Record {
 	cur.State = Completed
 	cur.CompletedAt = now
 	cur.AdvReason = why
+	if t.cfg.RecordHistory {
+		cur.Writes = t.closeWrites()
+	}
 	t.stats.ByAdvance[why]++
 	if why == SplitAdvance {
 		t.stats.Splits++
@@ -383,10 +390,10 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 	}
 	t.cfg.Probe.EpochPersist(now, t.Core, r.ID.Num, cause.String())
 	if t.cfg.RecordHistory {
-		t.history = append(t.history, &Summary{
+		t.history = append(t.history, Summary{
 			ID:            r.ID,
 			Writes:        r.Writes,
-			Deps:          r.allEdges(),
+			Deps:          t.edges(r),
 			AdvReason:     r.AdvReason,
 			Cause:         cause,
 			CompletedAt:   r.CompletedAt,
@@ -401,34 +408,27 @@ func (t *Table) markPersisted(r *Record, now sim.Cycle) {
 // History returns summaries of persisted epochs plus, at crash time, the
 // still-unpersisted window (PersistedFlag false) so the recovery checker
 // sees every epoch.
-func (t *Table) History() []*Summary {
+func (t *Table) History() []Summary {
 	if !t.cfg.RecordHistory {
 		return nil
 	}
-	out := make([]*Summary, len(t.history), len(t.history)+len(t.window))
+	out := make([]Summary, len(t.history), len(t.history)+len(t.window))
 	copy(out, t.history)
 	for _, r := range t.window {
-		out = append(out, &Summary{
+		writes := r.Writes
+		if r.State == Open {
+			writes = t.openWrites()
+		}
+		out = append(out, Summary{
 			ID:          r.ID,
-			Writes:      r.Writes,
-			Deps:        r.allEdges(),
+			Writes:      writes,
+			Deps:        t.edges(r),
 			AdvReason:   r.AdvReason,
 			Cause:       r.Cause,
 			CompletedAt: r.CompletedAt,
 		})
 	}
 	return out
-}
-
-// allEdges merges IDT register sources and online-enforced orderings into
-// one happens-before edge list for the recovery checker.
-func (r *Record) allEdges() []ID {
-	edges := make([]ID, 0, len(r.Deps)+len(r.OnlineEdges))
-	for i := range r.Deps {
-		edges = append(edges, r.Deps[i].Source)
-	}
-	edges = append(edges, r.OnlineEdges...)
-	return edges
 }
 
 // Stats returns a snapshot of the table's counters.

@@ -636,9 +636,7 @@ func (m *Machine) commitStore(c *coreCtx, line mem.Line) mem.Version {
 			c.id, prev.Tag, line))
 	}
 	cur.StoreCount++
-	if m.cfg.RecordHistory {
-		cur.Writes[line] = ver
-	}
+	c.table.RecordWrite(line, ver)
 	if m.cfg.Logging && first {
 		m.logWrites++
 		cur.LogPending++

@@ -80,11 +80,15 @@ func checkInvariants(t *testing.T, cfg Config, p *trace.Program, crash sim.Cycle
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := recovery.NewGraph(r.Histories)
-	if err := recovery.CheckOrdering(g, r.Image); err != nil {
+	g, err := recovery.NewGraph(r.Histories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Durability(r.Image)
+	if err := d.CheckOrdering(); err != nil {
 		t.Fatalf("%s: invariant 1 (epoch order): %v", label, err)
 	}
-	if err := recovery.CheckPersistedClosed(g, r.Image); err != nil {
+	if err := d.CheckPersistedClosed(); err != nil {
 		t.Fatalf("%s: invariant 2 (prefix closure): %v", label, err)
 	}
 	for line, durable := range r.Image {

@@ -331,7 +331,7 @@ func TestRecoveryRandomizedGraphs(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		cores := 2 + r.Intn(3)
 		perCore := 2 + r.Intn(4)
-		var hist [][]*epoch.Summary
+		var hist [][]epoch.Summary
 		ver := mem.Version(1)
 		type write struct {
 			line mem.Line
@@ -340,17 +340,17 @@ func TestRecoveryRandomizedGraphs(t *testing.T) {
 		all := map[epoch.ID][]write{}
 		var order []epoch.ID
 		for c := 0; c < cores; c++ {
-			var col []*epoch.Summary
+			var col []epoch.Summary
 			for n := 0; n < perCore; n++ {
 				id := epoch.ID{Core: c, Num: uint64(n)}
-				writes := map[mem.Line]mem.Version{}
+				var writes epoch.WriteSet
 				for w := 0; w < 1+r.Intn(3); w++ {
 					line := mem.Line(c*100 + n*10 + w)
-					writes[line] = ver
+					writes = append(writes, epoch.Write{Line: line, Version: ver})
 					all[id] = append(all[id], write{line, ver})
 					ver++
 				}
-				col = append(col, &epoch.Summary{ID: id, Writes: writes})
+				col = append(col, epoch.Summary{ID: id, Writes: writes})
 				order = append(order, id)
 			}
 			hist = append(hist, col)

@@ -93,7 +93,7 @@ type Result struct {
 	LLC cache.Stats
 
 	// Recovery material (populated per the Record* config flags).
-	Histories  [][]*epoch.Summary
+	Histories  [][]epoch.Summary
 	Image      map[mem.Line]mem.Version
 	UndoLog    []nvram.LogEntry
 	Latest     map[mem.Line]mem.Version

@@ -37,15 +37,6 @@ type ServiceStats struct {
 	LatencyHist []uint64 `json:"latency_hist,omitempty"`
 }
 
-// EpochsPerKcycle is durable epochs per kilocycle — the engine's service
-// throughput in simulated time.
-func (s ServiceStats) EpochsPerKcycle() float64 {
-	if s.Cycle == 0 {
-		return 0
-	}
-	return float64(s.EpochsPersisted) / float64(s.Cycle) * 1000
-}
-
 // Collector is a Sink that folds the event stream into live serving
 // metrics: epoch throughput, persist-latency percentiles, and conflict
 // counts by kind. Unlike the Sampler it is safe for concurrent use — a

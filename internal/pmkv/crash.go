@@ -175,12 +175,8 @@ func RunScript(cfg Config, spec ScriptSpec) (*RunResult, error) {
 		return nil, err
 	}
 	out.Cycles = e.Now()
-	rep, err := e.Verify(res)
-	out.Report = rep
-	if err != nil {
-		return out, err
-	}
-	out.Recovered, err = e.RecoveredState(res)
+	rep, state, err := e.Verify(res)
+	out.Report, out.Recovered = rep, state
 	if err != nil {
 		return out, err
 	}

@@ -508,7 +508,7 @@ func TestLegacyReplayAgreesWithNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := e.RecoveredState(res)
+	_, state, err := e.Verify(res)
 	if err != nil {
 		t.Fatal(err)
 	}

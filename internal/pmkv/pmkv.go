@@ -82,10 +82,10 @@ type Config struct {
 	// against the final image. Off by default; when off the observation
 	// hooks are nil-receiver no-ops costing zero allocations.
 	Check bool
-	// RecoveryWorkers bounds the per-bucket replay parallelism of
-	// RecoveredState and Verify (buckets are disjoint, so their publish
-	// prefixes replay concurrently). 0 means GOMAXPROCS; 1 forces the
-	// serial reference path.
+	// RecoveryWorkers bounds the parallelism of Verify's per-bucket
+	// replay (buckets are disjoint, so their publish prefixes replay
+	// concurrently); the epoch-order checks run serially. 0 means
+	// GOMAXPROCS; 1 forces the serial reference path.
 	RecoveryWorkers int
 }
 
@@ -133,8 +133,8 @@ type Request struct {
 }
 
 // Response answers a Request from the engine's volatile state (visibility
-// is immediate; durability is what Verify and RecoveredState reason about).
-// Within one commit window — the Submit batches fed since the last
+// is immediate; durability is what Verify reasons about).
+// Within one commit window — the batches fed since the last
 // completed PumpRetire — reads are snapshot-consistent: a Get (or a
 // Delete's Found) observes the state as of window admission plus the
 // session's own writes in the window — never another session's
@@ -486,20 +486,12 @@ func (e *Engine) Apply(batch []Request) ([]Response, error) {
 	return resps, nil
 }
 
-// Submit translates a batch and feeds it to the cores without advancing
-// the machine — the front half of a group commit. A sharded worker
-// submits batch k+1 while batch k's persist barriers are still draining;
-// PumpRetire then advances the clock. Responses reflect the volatile
-// state immediately.
-func (e *Engine) Submit(batch []Request) ([]Response, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.submitLocked(nil, batch)
-}
-
-// SubmitAppend is Submit appending responses to dst, so a pipelined
-// committer can reuse one response buffer per in-flight batch instead of
-// allocating a fresh slice per commit.
+// SubmitAppend translates a batch and feeds it to the cores without
+// advancing the machine — the front half of a group commit — appending
+// one response per request to dst. A sharded worker submits batch k+1
+// while batch k's persist barriers are still draining; PumpRetire then
+// advances the clock. Responses reflect the volatile state immediately,
+// and reusing dst spares a pipelined committer one slice per commit.
 func (e *Engine) SubmitAppend(dst []Response, batch []Request) ([]Response, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -578,24 +570,10 @@ func (e *Engine) pumpRetireLocked() error {
 	return nil
 }
 
-// StepGap lets the background persist machinery run for one BatchGap of
-// simulated think time, never past the crash instant. ErrCrashed reports
-// that the instant was reached during the gap.
-func (e *Engine) StepGap() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("pmkv: engine closed")
-	}
-	if e.crashed {
-		return ErrCrashed
-	}
-	return e.stepGapLocked()
-}
-
+// stepGapLocked lets the background persist machinery run for one
+// BatchGap of simulated think time, never past the crash instant.
+// ErrCrashed reports that the instant was reached during the gap.
 func (e *Engine) stepGapLocked() error {
-	// Let background persists overlap the think time between batches,
-	// still never past the crash instant.
 	limit := e.crashLimit()
 	gap := e.cfg.BatchGap
 	if limit != sim.MaxCycle && e.m.Now()+gap > limit {
@@ -652,7 +630,7 @@ func (e *Engine) DurableWatermark() (durable, total int, err error) {
 // machinery has nothing scheduled — only new work or Close's final
 // drain can produce further durability. A worker interleaves StepDurable
 // with mailbox polls so waiting for durability never blinds it to
-// arriving requests (the queue_wait cost of the old WaitDurable loop).
+// arriving requests (the queue_wait cost of a blocking wait loop).
 func (e *Engine) StepDurable(target int) (durable int, dry bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -691,34 +669,6 @@ func (e *Engine) Quiesced() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.m.Engine().Pending() == 0
-}
-
-// WaitDurable advances simulated time in BatchGap steps until the durable
-// watermark covers target records (or the crash instant hits, or the
-// machinery runs dry — closed epochs always drain through scheduled
-// events, so an empty event queue means only Close's final drain can make
-// further progress). It returns the watermark reached.
-func (e *Engine) WaitDurable(target int) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return e.durableCursor, fmt.Errorf("pmkv: engine closed")
-	}
-	for {
-		d := e.advanceWatermarkLocked()
-		if d >= target {
-			return d, nil
-		}
-		if e.crashed {
-			return d, ErrCrashed
-		}
-		if e.m.Engine().Pending() == 0 {
-			return d, nil
-		}
-		if err := e.stepGapLocked(); err != nil {
-			return e.advanceWatermarkLocked(), err
-		}
-	}
 }
 
 // ErrCrashed reports that the simulated machine hit its configured crash

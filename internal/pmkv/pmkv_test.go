@@ -57,17 +57,13 @@ func TestPutGetDelete(t *testing.T) {
 	if !res.Finished {
 		t.Fatal("clean close did not finish the machine")
 	}
-	rep, err := e.Verify(res)
+	rep, state, err := e.Verify(res)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	// Clean drain: every publish persisted, recovered state == volatile.
 	if rep.DurablePublishes != rep.TotalPublishes {
 		t.Fatalf("durable %d != total %d after clean drain", rep.DurablePublishes, rep.TotalPublishes)
-	}
-	state, err := e.RecoveredState(res)
-	if err != nil {
-		t.Fatal(err)
 	}
 	want := e.Volatile()
 	if len(state) != len(want) {
@@ -124,12 +120,9 @@ func TestCleanDrainContendedBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Verify(res); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	got, err := e.RecoveredState(res)
+	_, got, err := e.Verify(res)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("verify: %v", err)
 	}
 	want := e.Volatile()
 	if len(got) != len(want) {

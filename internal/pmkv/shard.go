@@ -592,7 +592,7 @@ func (w *shardWorker) pump() bool {
 // busy path dropped the error and waited for durability that could
 // never come); with an idle mailbox one BatchGap of simulated time
 // advances per call, so the worker re-polls the mailbox between gap
-// steps instead of going blind inside the old WaitDurable loop.
+// steps instead of going blind inside a blocking wait loop.
 func (w *shardWorker) release() {
 	sh := w.sh
 	if len(w.pending) == 0 {
@@ -851,10 +851,7 @@ func (s *ShardedStore) Close() ([]ShardResult, error) {
 			if err != nil {
 				r.Err = err
 			} else {
-				r.Report, r.Err = sh.eng.Verify(res)
-				if r.Err == nil {
-					r.Recovered, r.Err = sh.eng.RecoveredState(res)
-				}
+				r.Report, r.Recovered, r.Err = sh.eng.Verify(res)
 				r.DL = sh.eng.CheckDL(res)
 				if r.Err == nil && r.DL != nil {
 					r.Err = r.DL.Err()

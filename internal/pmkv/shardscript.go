@@ -142,12 +142,8 @@ func runShardScript(e *Engine, shard, shards int, sessions [][]*Session, rounds 
 		return out, err
 	}
 	out.Cycles = e.Now()
-	rep, err := e.Verify(res)
-	out.Report = rep
-	if err != nil {
-		return out, err
-	}
-	out.Recovered, err = e.RecoveredState(res)
+	rep, state, err := e.Verify(res)
+	out.Report, out.Recovered = rep, state
 	if err != nil {
 		return out, err
 	}

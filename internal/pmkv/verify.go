@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/machine"
 	"persistbarriers/internal/mem"
 	"persistbarriers/internal/recovery"
@@ -55,37 +56,53 @@ func durable(image map[mem.Line]mem.Version, l mem.Line, v mem.Version) bool {
 //  4. Session order: each session's durable publishes are a prefix of its
 //     program order (a later publish durable while an earlier one is lost
 //     would invert the barrier ordering).
-func (e *Engine) Verify(res *machine.Result) (*Report, error) {
+//
+// It then replays the durable publish prefixes and returns the recovered
+// key-value state with the report: for each bucket, the durable head
+// version names the last publish that persisted (the line-rewrite
+// conflict rules make every earlier version of the head durable too), so
+// the bucket's contents are the deltas of its publishes up to that
+// version, replayed in the order their head stores committed. Commit
+// order — not translate order — is what NVRAM saw: two same-batch
+// sessions publishing to one bucket can commit in either order, and the
+// recovered state must include both.
+func (e *Engine) Verify(res *machine.Result) (*Report, map[string][]byte, error) {
 	e.mu.Lock()
 	records := e.records
 	buckets := e.cfg.Buckets
 	workers := e.cfg.RecoveryWorkers
 	e.mu.Unlock()
 
-	g := recovery.NewGraph(res.Histories)
-	rep := &Report{Epochs: len(g.Epochs())}
+	rep := &Report{}
+	g, err := recovery.NewGraph(res.Histories)
+	if err != nil {
+		return rep, nil, fmt.Errorf("pmkv: %w", err)
+	}
+	rep.Epochs = g.Len()
 
 	byBucket, total := publishesByBucket(records, res.TokenVersions, buckets)
 	for _, recs := range byBucket {
 		rep.TotalPublishes += len(recs)
-		for i := 1; i < len(recs); i++ {
-			prev, ok1 := g.WriterOf(recs[i-1].v)
-			next, ok2 := g.WriterOf(recs[i].v)
-			if !ok1 || !ok2 {
-				// The writing epoch was still open at the crash; its
-				// writes cannot be durable and no edge is needed.
-				continue
+		var prev epoch.ID
+		prevOK := false
+		for _, r := range recs {
+			next, ok := g.WriterOf(r.v)
+			// A missing writer was still open at the crash; its writes
+			// cannot be durable and no edge is needed.
+			if prevOK && ok {
+				g.AddEdge(next, prev)
+				rep.PublishEdges++
 			}
-			g.AddEdge(next, prev)
-			rep.PublishEdges++
+			prev, prevOK = next, ok
 		}
 	}
 
-	if err := recovery.CheckOrderingParallel(g, res.Image, workers); err != nil {
-		return rep, fmt.Errorf("pmkv: epoch-order violation: %w", err)
+	d := g.Durability(res.Image)
+	if err := d.CheckOrdering(); err != nil {
+		return rep, nil, fmt.Errorf("pmkv: epoch-order violation: %w", err)
 	}
-	if err := recovery.CheckPersistedClosed(g, res.Image); err != nil {
-		return rep, fmt.Errorf("pmkv: persisted-set violation: %w", err)
+	if err := d.CheckPersistedClosed(); err != nil {
+		return rep, nil, fmt.Errorf("pmkv: persisted-set violation: %w", err)
 	}
 
 	// KV atomicity: durable publish => whole entry durable.
@@ -101,7 +118,7 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 		for i, l := range r.EntryLines {
 			ev, ok := res.TokenVersions[r.EntryTokens[i]]
 			if !ok || !durable(res.Image, l, ev) {
-				return rep, fmt.Errorf(
+				return rep, nil, fmt.Errorf(
 					"pmkv: torn write: sess %d seq %d (%v %q) published durably but entry line %v is not durable",
 					r.Sess, r.Seq, r.Op, r.Key, l)
 			}
@@ -111,20 +128,20 @@ func (e *Engine) Verify(res *machine.Result) (*Report, error) {
 	// Session order: durable publishes form a program-order prefix. Every
 	// violation in the image is collected, not just the first.
 	if errs := sessionOrderErrors(records, res.TokenVersions, res.Image); len(errs) > 0 {
-		return rep, errors.Join(errs...)
+		return rep, nil, errors.Join(errs...)
 	}
 
 	state, err := e.replayState(byBucket, total, res, buckets, workers)
 	if err != nil {
-		return rep, err
+		return rep, nil, err
 	}
 	rep.RecoveredKeys = len(state)
 	fp, err := stats.Fingerprint(recoverySnapshot(state))
 	if err != nil {
-		return rep, err
+		return rep, nil, err
 	}
 	rep.Fingerprint = fp
-	return rep, nil
+	return rep, state, nil
 }
 
 // sessionOrderErrors collects every per-session lost-prefix violation:
@@ -182,26 +199,6 @@ func recoverySnapshot(state map[string][]byte) [][2]string {
 		out = append(out, [2]string{k, string(state[k])})
 	}
 	return out
-}
-
-// RecoveredState reconstructs the durable key-value contents from the
-// crash image: for each bucket, the durable head version names the last
-// publish that persisted (the line-rewrite conflict rules make every
-// earlier version of the head durable too), so the bucket's contents are
-// the deltas of its publishes up to that version, replayed in the order
-// their head stores committed. Commit order — not translate order — is
-// what NVRAM saw: two same-batch sessions publishing to one bucket can
-// commit in either order, and the recovered state must include both.
-// Entry durability is the atomicity invariant Verify enforces.
-func (e *Engine) RecoveredState(res *machine.Result) (map[string][]byte, error) {
-	e.mu.Lock()
-	records := e.records
-	buckets := e.cfg.Buckets
-	workers := e.cfg.RecoveryWorkers
-	e.mu.Unlock()
-
-	byBucket, total := publishesByBucket(records, res.TokenVersions, buckets)
-	return e.replayState(byBucket, total, res, buckets, workers)
 }
 
 // tombstone marks a key whose newest durable publish in its bucket is a

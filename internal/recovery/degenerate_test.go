@@ -16,23 +16,23 @@ func TestEmptyWriteSetEpoch(t *testing.T) {
 	// A barrier-barrier sequence closes an epoch that wrote nothing. It
 	// must appear in the graph, count as fully durable everywhere, and
 	// never block its successors.
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{}),
 		summary(0, 1, true, map[mem.Line]mem.Version{1: 10}),
 	}}
-	g := NewGraph(h)
-	if len(g.Epochs()) != 2 {
-		t.Fatalf("epochs = %v", g.Epochs())
+	g := mustGraph(t, h)
+	if g.Len() != 2 {
+		t.Fatalf("graph has %d epochs, want 2", g.Len())
 	}
 	img := map[mem.Line]mem.Version{1: 10}
-	if err := CheckOrdering(g, img); err != nil {
+	if err := checkOrdering(g, img); err != nil {
 		t.Fatalf("empty-write-set predecessor blocked its successor: %v", err)
 	}
-	if err := CheckPersistedClosed(g, img); err != nil {
+	if err := checkPersistedClosed(g, img); err != nil {
 		t.Fatalf("empty-write-set epoch failed closure: %v", err)
 	}
 	// And with nil Writes instead of an empty map.
-	h2 := [][]*epoch.Summary{{
+	h2 := [][]epoch.Summary{{
 		summary(0, 0, true, nil),
 		summary(0, 1, true, map[mem.Line]mem.Version{1: 10}),
 	}}
@@ -45,10 +45,10 @@ func TestRollbackEmptyUndoLog(t *testing.T) {
 	// An unpersisted epoch's writes are durable but no undo entries were
 	// logged (logging off, or the log itself lost): rollback must be an
 	// identity, not a panic or an erase.
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, false, map[mem.Line]mem.Version{1: 10, 2: 11}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	img := map[mem.Line]mem.Version{1: 10, 2: 11}
 	rec := Rollback(g, img, nil)
 	if len(rec) != 2 || rec[1] != 10 || rec[2] != 11 {
@@ -61,12 +61,12 @@ func TestRollbackEmptyUndoLog(t *testing.T) {
 }
 
 func TestRollbackEmptyImage(t *testing.T) {
-	g := NewGraph(nil)
+	g := mustGraph(t, nil)
 	rec := Rollback(g, map[mem.Line]mem.Version{}, nil)
 	if len(rec) != 0 {
 		t.Fatalf("rollback invented lines: %v", rec)
 	}
-	if err := CheckAtomicity(g, rec); err != nil {
+	if err := checkAtomicity(g, rec); err != nil {
 		t.Fatalf("empty image failed atomicity: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestChecksOnEmptyGraph(t *testing.T) {
 	if err := CheckAll(nil, map[mem.Line]mem.Version{}, nil, true); err != nil {
 		t.Fatalf("empty everything rejected: %v", err)
 	}
-	if err := CheckAll([][]*epoch.Summary{{}, {}}, nil, nil, false); err != nil {
+	if err := CheckAll([][]epoch.Summary{{}, {}}, nil, nil, false); err != nil {
 		t.Fatalf("empty per-core histories rejected: %v", err)
 	}
 }
@@ -84,30 +84,30 @@ func TestChecksOnEmptyGraph(t *testing.T) {
 func TestAddEdgeStrengthensGraph(t *testing.T) {
 	a := epoch.ID{Core: 0, Num: 0}
 	b := epoch.ID{Core: 1, Num: 0}
-	h := [][]*epoch.Summary{
+	h := [][]epoch.Summary{
 		{summary(0, 0, false, map[mem.Line]mem.Version{1: 10})},
 		{summary(1, 0, false, map[mem.Line]mem.Version{2: 20})},
 	}
 	// Image where b's write is durable but a's is not: fine without the
 	// edge, a violation once the application declares a happened-before b.
 	img := map[mem.Line]mem.Version{2: 20}
-	g := NewGraph(h)
-	if err := CheckOrdering(g, img); err != nil {
+	g := mustGraph(t, h)
+	if err := checkOrdering(g, img); err != nil {
 		t.Fatalf("independent epochs rejected: %v", err)
 	}
 	g.AddEdge(b, a)
 	if preds := g.Predecessors(b); len(preds) != 1 || preds[0] != a {
 		t.Fatalf("predecessors after AddEdge = %v", preds)
 	}
-	if err := CheckOrdering(g, img); err == nil {
+	if err := checkOrdering(g, img); err == nil {
 		t.Fatal("application-order violation not detected after AddEdge")
 	}
 }
 
 func TestAddEdgeIgnoresBogusInput(t *testing.T) {
 	a := epoch.ID{Core: 0, Num: 0}
-	h := [][]*epoch.Summary{{summary(0, 0, true, map[mem.Line]mem.Version{1: 10})}}
-	g := NewGraph(h)
+	h := [][]epoch.Summary{{summary(0, 0, true, map[mem.Line]mem.Version{1: 10})}}
+	g := mustGraph(t, h)
 	g.AddEdge(a, a)                         // self edge
 	g.AddEdge(a, epoch.ID{Core: 9, Num: 9}) // unknown earlier
 	g.AddEdge(epoch.ID{Core: 9, Num: 9}, a) // unknown later
@@ -116,11 +116,11 @@ func TestAddEdgeIgnoresBogusInput(t *testing.T) {
 	}
 	// Duplicate edges collapse.
 	b := epoch.ID{Core: 0, Num: 1}
-	h2 := [][]*epoch.Summary{{
+	h2 := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
 		summary(0, 1, true, map[mem.Line]mem.Version{2: 20}),
 	}}
-	g2 := NewGraph(h2)
+	g2 := mustGraph(t, h2)
 	g2.AddEdge(b, a)
 	g2.AddEdge(b, a)
 	if preds := g2.Predecessors(b); len(preds) != 1 {

@@ -12,10 +12,10 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"math"
+	"slices"
 
 	"persistbarriers/internal/epoch"
 	"persistbarriers/internal/mem"
@@ -24,139 +24,308 @@ import (
 
 // Graph is the happens-before relation over epochs: per-core program order
 // plus recorded inter-thread dependence edges (IDT registers and
-// online-enforced orderings).
+// online-enforced orderings), and any edges the application adds.
+//
+// Epochs are indexed densely: cores in ascending ID order, each core's
+// history contiguous from its first epoch number, so index order is
+// (core, number) order. Program order is implicit — index i-1 precedes i
+// when both belong to one core — and every other edge lives in flat
+// adjacency arrays. No check hashes an epoch ID. A Graph is not safe for
+// concurrent use.
 type Graph struct {
-	epochs map[epoch.ID]*epoch.Summary
-	// preds[e] are the direct happens-before predecessors of e.
-	preds map[epoch.ID][]epoch.ID
-	// byVersion finds the epoch that wrote a given version.
-	byVersion map[mem.Version]epoch.ID
-	order     []epoch.ID // deterministic iteration order
+	sums  []*epoch.Summary // by index
+	start []bool           // start[i]: i is its core's first epoch
+	cores []coreRange      // ascending core ID
+	// head[i] is i's newest entry in edges, -1 when i has none; each
+	// entry links to the next older one.
+	head  []int32
+	edges []edge
+	// byVersion maps each written version to its writer's index. Only
+	// WriterOf and Rollback need it, so it is built on first use.
+	byVersion map[mem.Version]int32
 }
 
-// NewGraph builds the happens-before graph from per-core histories.
-func NewGraph(histories [][]*epoch.Summary) *Graph {
-	g := &Graph{
-		epochs:    make(map[epoch.ID]*epoch.Summary),
-		preds:     make(map[epoch.ID][]epoch.ID),
-		byVersion: make(map[mem.Version]epoch.ID),
-	}
-	for _, hist := range histories {
-		for i, s := range hist {
-			g.epochs[s.ID] = s
-			g.order = append(g.order, s.ID)
-			if i > 0 {
-				g.preds[s.ID] = append(g.preds[s.ID], hist[i-1].ID)
-			}
-			g.preds[s.ID] = append(g.preds[s.ID], s.Deps...)
-			for _, v := range s.Writes {
-				g.byVersion[v] = s.ID
-			}
-		}
-	}
-	sort.Slice(g.order, func(i, j int) bool {
-		if g.order[i].Core != g.order[j].Core {
-			return g.order[i].Core < g.order[j].Core
-		}
-		return g.order[i].Num < g.order[j].Num
-	})
-	return g
+// coreRange locates one core's history: epoch first+k has index base+k.
+type coreRange struct {
+	core    int
+	first   uint64
+	base, n int32
 }
 
-// AddEdge records an externally known happens-before edge: earlier must
-// persist before later. Application layers (e.g. a KV store that knows
-// its publish order per bucket) use this to strengthen the graph with
-// dependences the hardware histories may have resolved without a
-// register. Edges naming unknown epochs are ignored.
-func (g *Graph) AddEdge(later, earlier epoch.ID) {
-	if later == earlier {
-		return
-	}
-	if g.epochs[later] == nil || g.epochs[earlier] == nil {
-		return
-	}
-	for _, p := range g.preds[later] {
-		if p == earlier {
-			return
-		}
-	}
-	g.preds[later] = append(g.preds[later], earlier)
+// edge is one non-program-order predecessor of an epoch.
+type edge struct {
+	pred, next int32
 }
 
-// Summary returns the history entry for an epoch, or nil.
-func (g *Graph) Summary(id epoch.ID) *epoch.Summary { return g.epochs[id] }
-
-// Epochs returns every known epoch in deterministic order.
-func (g *Graph) Epochs() []epoch.ID { return g.order }
-
-// Predecessors returns the transitive happens-before predecessors of id
-// (not including id).
-func (g *Graph) Predecessors(id epoch.ID) []epoch.ID {
-	seen := map[epoch.ID]bool{id: true}
-	var out []epoch.ID
-	stack := append([]epoch.ID(nil), g.preds[id]...)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[p] {
+// NewGraph builds the happens-before graph from per-core histories. Each
+// non-empty history must belong to one core, number its epochs
+// contiguously, and hold write sets sorted by line; no two histories may
+// share a core. The graph aliases the histories, which must not change
+// while it is in use. Edges naming epochs outside the histories are
+// dropped.
+func NewGraph(histories [][]epoch.Summary) (*Graph, error) {
+	g := &Graph{}
+	n, deps := 0, 0
+	for _, h := range histories {
+		if len(h) == 0 {
 			continue
 		}
-		seen[p] = true
-		out = append(out, p)
-		stack = append(stack, g.preds[p]...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Core != out[j].Core {
-			return out[i].Core < out[j].Core
+		id0 := h[0].ID
+		if !id0.Valid() {
+			return nil, fmt.Errorf("recovery: history of invalid epoch %v", id0)
 		}
-		return out[i].Num < out[j].Num
-	})
-	return out
+		for k := range h {
+			s := &h[k]
+			if s.ID.Core != id0.Core || s.ID.Num != id0.Num+uint64(k) {
+				return nil, fmt.Errorf("recovery: history of core %d is not contiguous: %v at position %d", id0.Core, s.ID, k)
+			}
+			for j := 1; j < len(s.Writes); j++ {
+				if s.Writes[j-1].Line >= s.Writes[j].Line {
+					return nil, fmt.Errorf("recovery: write set of %v is not sorted by line", s.ID)
+				}
+			}
+			deps += len(s.Deps)
+		}
+		n += len(h)
+		g.cores = append(g.cores, coreRange{core: id0.Core, first: id0.Num, n: int32(len(h))})
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("recovery: %d epochs exceed the graph's index range", n)
+	}
+	slices.SortFunc(g.cores, func(a, b coreRange) int { return cmp.Compare(a.core, b.core) })
+	base := int32(0)
+	for i := range g.cores {
+		if i > 0 && g.cores[i].core == g.cores[i-1].core {
+			return nil, fmt.Errorf("recovery: two histories for core %d", g.cores[i].core)
+		}
+		g.cores[i].base = base
+		base += g.cores[i].n
+	}
+	g.sums = make([]*epoch.Summary, n)
+	g.start = make([]bool, n)
+	for _, h := range histories {
+		if len(h) == 0 {
+			continue
+		}
+		cr, _ := g.core(h[0].ID.Core)
+		g.start[cr.base] = true
+		for k := range h {
+			g.sums[cr.base+int32(k)] = &h[k]
+		}
+	}
+	g.head = make([]int32, n)
+	g.edges = make([]edge, 0, deps)
+	for i, s := range g.sums {
+		g.head[i] = -1
+		for _, d := range s.Deps {
+			if p, ok := g.index(d); ok {
+				g.link(int32(i), p)
+			}
+		}
+	}
+	return g, nil
 }
 
-// WriterOf returns the epoch that produced a version, if known.
-func (g *Graph) WriterOf(v mem.Version) (epoch.ID, bool) {
-	id, ok := g.byVersion[v]
-	return id, ok
+func (g *Graph) core(c int) (coreRange, bool) {
+	k, ok := slices.BinarySearchFunc(g.cores, c, func(cr coreRange, c int) int { return cmp.Compare(cr.core, c) })
+	if !ok {
+		return coreRange{}, false
+	}
+	return g.cores[k], true
 }
 
-// durableAll is fullyDurable without the sorted line report: the fast
-// screening passes only need a verdict, not a deterministic witness.
-func durableAll(s *epoch.Summary, image map[mem.Line]mem.Version) bool {
-	for l, v := range s.Writes {
-		if image[l] < v {
+// index returns id's dense index, if id is in the graph.
+func (g *Graph) index(id epoch.ID) (int32, bool) {
+	cr, ok := g.core(id.Core)
+	if !ok || id.Num < cr.first || id.Num-cr.first >= uint64(cr.n) {
+		return 0, false
+	}
+	return cr.base + int32(id.Num-cr.first), true
+}
+
+// progPred returns i's program-order predecessor, or -1 for the first
+// epoch of a core.
+func (g *Graph) progPred(i int32) int32 {
+	if g.start[i] {
+		return -1
+	}
+	return i - 1
+}
+
+// eachPred calls f on each direct predecessor of i until f returns
+// false, and reports whether it never did.
+func (g *Graph) eachPred(i int32, f func(p int32) bool) bool {
+	if p := g.progPred(i); p >= 0 && !f(p) {
+		return false
+	}
+	for k := g.head[i]; k >= 0; k = g.edges[k].next {
+		if !f(g.edges[k].pred) {
 			return false
 		}
 	}
 	return true
 }
 
-// fullyDurable reports whether every final write of epoch s is reflected
-// in the image (possibly superseded by a later version, which the conflict
-// rules only permit after s persisted).
-func fullyDurable(s *epoch.Summary, image map[mem.Line]mem.Version) (mem.Line, bool) {
-	lines := make([]mem.Line, 0, len(s.Writes))
-	for l := range s.Writes {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, l := range lines {
-		if image[l] < s.Writes[l] {
-			return l, false
-		}
-	}
-	return 0, true
+func (g *Graph) link(later, earlier int32) {
+	g.edges = append(g.edges, edge{pred: earlier, next: g.head[later]})
+	g.head[later] = int32(len(g.edges) - 1)
 }
 
-// touched reports whether any of the epoch's own versions is the durable
-// one for its line (the epoch left a footprint in the image).
-func touched(s *epoch.Summary, image map[mem.Line]mem.Version) bool {
-	for l, v := range s.Writes {
-		if image[l] == v {
-			return true
+// Len returns the number of epochs in the graph.
+func (g *Graph) Len() int { return len(g.sums) }
+
+// AddEdge records an externally known happens-before edge: earlier must
+// persist before later. Application layers (e.g. a KV store that knows
+// its publish order per bucket) use this to strengthen the graph with
+// dependences the hardware histories may have resolved without a
+// register. Edges naming unknown epochs, self edges and edges already in
+// the graph are ignored.
+func (g *Graph) AddEdge(later, earlier epoch.ID) {
+	l, ok1 := g.index(later)
+	e, ok2 := g.index(earlier)
+	if !ok1 || !ok2 || l == e || g.progPred(l) == e {
+		return
+	}
+	for k := g.head[l]; k >= 0; k = g.edges[k].next {
+		if g.edges[k].pred == e {
+			return
 		}
 	}
-	return false
+	g.link(l, e)
+}
+
+// Predecessors returns the transitive happens-before predecessors of id
+// (not including id) in (core, number) order.
+func (g *Graph) Predecessors(id epoch.ID) []epoch.ID {
+	i, ok := g.index(id)
+	if !ok {
+		return nil
+	}
+	var preds []int32
+	newWalker(len(g.sums)).ancestors(g, i, func(p int32) { preds = append(preds, p) })
+	slices.Sort(preds) // index order is (core, number) order
+	out := make([]epoch.ID, len(preds))
+	for k, p := range preds {
+		out[k] = g.sums[p].ID
+	}
+	return out
+}
+
+// writer returns the index of the epoch that wrote version v; should
+// several have, the highest index.
+func (g *Graph) writer(v mem.Version) (int32, bool) {
+	if g.byVersion == nil {
+		writes := 0
+		for _, s := range g.sums {
+			writes += len(s.Writes)
+		}
+		g.byVersion = make(map[mem.Version]int32, writes)
+		for i, s := range g.sums {
+			for _, w := range s.Writes {
+				g.byVersion[w.Version] = int32(i)
+			}
+		}
+	}
+	i, ok := g.byVersion[v]
+	return i, ok
+}
+
+// WriterOf returns the epoch that produced a version, if known.
+func (g *Graph) WriterOf(v mem.Version) (epoch.ID, bool) {
+	i, ok := g.writer(v)
+	if !ok {
+		return epoch.ID{}, false
+	}
+	return g.sums[i].ID, true
+}
+
+// walker runs depth-first searches over the graph's predecessor edges,
+// stamping visits with a per-search generation so its buffers are reused
+// across searches without clearing.
+type walker struct {
+	seen  []int32
+	gen   int32
+	stack []int32
+}
+
+func newWalker(n int) *walker { return &walker{seen: make([]int32, n)} }
+
+// ancestors visits every transitive predecessor of i once; i itself is
+// never visited, even on a cycle.
+func (w *walker) ancestors(g *Graph, i int32, visit func(p int32)) {
+	w.gen++
+	w.seen[i] = w.gen
+	stack := w.stack[:0]
+	push := func(p int32) bool {
+		if w.seen[p] != w.gen {
+			w.seen[p] = w.gen
+			stack = append(stack, p)
+		}
+		return true
+	}
+	g.eachPred(i, push)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		visit(p)
+		g.eachPred(p, push)
+	}
+	w.stack = stack[:0]
+}
+
+// lowest returns the lowest-index transitive predecessor of i for which
+// bad holds, or -1.
+func (w *walker) lowest(g *Graph, i int32, bad func(p int32) bool) int32 {
+	low := int32(-1)
+	w.ancestors(g, i, func(p int32) {
+		if bad(p) && (low < 0 || p < low) {
+			low = p
+		}
+	})
+	return low
+}
+
+// Durability is a graph evaluated against one NVRAM image. One pass over
+// every epoch's write set records which epochs left a footprint in the
+// image (one of their own versions is the durable one for its line) and
+// which are fully durable in it (every final write reflected, possibly
+// superseded by a later version, which the conflict rules only permit
+// after the epoch persisted). Every check reads those two flags.
+type Durability struct {
+	g       *Graph
+	image   map[mem.Line]mem.Version
+	touched []bool
+	durable []bool
+}
+
+// Durability evaluates the graph against image.
+func (g *Graph) Durability(image map[mem.Line]mem.Version) *Durability {
+	n := len(g.sums)
+	flags := make([]bool, 2*n)
+	d := &Durability{g: g, image: image, touched: flags[:n], durable: flags[n:]}
+	for i, s := range g.sums {
+		hit, full := false, true
+		for _, w := range s.Writes {
+			switch v := image[w.Line]; {
+			case v == w.Version:
+				hit = true
+			case v < w.Version:
+				full = false
+			}
+		}
+		d.touched[i], d.durable[i] = hit, full
+	}
+	return d
+}
+
+// missing returns epoch i's lowest line whose final write is not durable.
+func (d *Durability) missing(i int32) mem.Line {
+	for _, w := range d.g.sums[i].Writes {
+		if d.image[w.Line] < w.Version {
+			return w.Line
+		}
+	}
+	return 0
 }
 
 // OrderingViolation describes a broken persist-order constraint.
@@ -172,121 +341,59 @@ func (v *OrderingViolation) Error() string {
 		v.Later, v.Earlier, v.Line)
 }
 
-// requiredDurable computes the set of epochs the ordering invariant
-// obliges to be fully durable: the transitive happens-before
-// predecessors of every epoch with a durable footprint. One reverse
-// closure over the whole graph — O(epochs + edges) — instead of a
-// transitive walk per touched epoch, which made clean-image checking
-// quadratic and dominated live-server drains.
-func requiredDurable(g *Graph, image map[mem.Line]mem.Version) []epoch.ID {
-	required := make(map[epoch.ID]bool, len(g.order))
-	var stack, out []epoch.ID
-	for _, id := range g.order {
-		if touched(g.epochs[id], image) {
-			stack = append(stack, g.preds[id]...)
+// requiredDurable reports whether every epoch the ordering invariant
+// obliges to be fully durable — the transitive happens-before
+// predecessors of every epoch with a durable footprint — is. One reverse
+// closure over the whole graph, O(epochs + edges).
+func (d *Durability) requiredDurable() bool {
+	g := d.g
+	required := make([]bool, len(g.sums))
+	stack := make([]int32, 0, len(g.sums))
+	push := func(p int32) bool {
+		if !required[p] {
+			required[p] = true
+			stack = append(stack, p)
+		}
+		return d.durable[p]
+	}
+	for i := range g.sums {
+		if d.touched[i] && !g.eachPred(int32(i), push) {
+			return false
 		}
 	}
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if required[p] || g.epochs[p] == nil {
-			continue
+		if !g.eachPred(p, push) {
+			return false
 		}
-		required[p] = true
-		out = append(out, p)
-		stack = append(stack, g.preds[p]...)
 	}
-	return out
+	return true
 }
 
 // CheckOrdering verifies the fundamental epoch-ordering invariant of every
 // buffered persistency model: if any line of epoch E is durable, every
-// epoch that happens-before E is fully durable. It returns the first
-// violation found, or nil.
+// epoch that happens-before E is fully durable. It returns the violation
+// at the lowest (core, number) epoch with a durable footprint, naming its
+// lowest non-durable predecessor and that epoch's lowest missing line, or
+// nil.
 //
 // Clean images — the overwhelmingly common case — are decided by the
-// linear-time screening (requiredDurable + one durability scan per
-// epoch). Only when that screening finds a failure does the original
-// per-epoch scan run, to produce the exact deterministic violation the
-// serial order defines.
-func CheckOrdering(g *Graph, image map[mem.Line]mem.Version) error {
-	for _, id := range requiredDurable(g, image) {
-		if !durableAll(g.epochs[id], image) {
-			if v := checkOrderingRange(g, image, 0, 1, len(g.order)); v != nil {
-				return v
-			}
-			return nil
-		}
+// linear-time closure alone; only when it finds a failure does the
+// per-epoch scan run to produce the deterministic violation.
+func (d *Durability) CheckOrdering() error {
+	if d.requiredDurable() {
+		return nil
 	}
-	return nil
-}
-
-// checkOrderingRange scans epochs at indices start, start+stride, ... of
-// g.order (up to bound), returning the violation at the lowest index, or
-// nil. It only reads the graph, so strided scans may run concurrently.
-func checkOrderingRange(g *Graph, image map[mem.Line]mem.Version, start, stride, bound int) *OrderingViolation {
-	for i := start; i < bound; i += stride {
-		id := g.order[i]
-		s := g.epochs[id]
-		if !touched(s, image) {
+	g := d.g
+	w := newWalker(len(g.sums))
+	notDurable := func(p int32) bool { return !d.durable[p] }
+	for i := range g.sums {
+		if !d.touched[i] {
 			continue
 		}
-		for _, pid := range g.Predecessors(id) {
-			ps := g.epochs[pid]
-			if ps == nil {
-				continue
-			}
-			if line, ok := fullyDurable(ps, image); !ok {
-				return &OrderingViolation{Later: id, Earlier: pid, Line: line}
-			}
-		}
-	}
-	return nil
-}
-
-// CheckOrderingParallel is CheckOrdering fanned across workers: the
-// linear-time screening's per-epoch durability scans stride across
-// goroutines (they are independent reads of the graph and image). The
-// result is deterministic regardless of worker count — if any worker's
-// share fails the screening, the serial precise scan runs and reports
-// the violation at the lowest epoch index, exactly what CheckOrdering
-// reports. workers <= 0 means GOMAXPROCS. The graph must not be mutated
-// (no AddEdge) while the check runs.
-func CheckOrderingParallel(g *Graph, image map[mem.Line]mem.Version, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(g.order) {
-		workers = len(g.order)
-	}
-	if workers <= 1 {
-		return CheckOrdering(g, image)
-	}
-	required := requiredDurable(g, image)
-	if workers > len(required) {
-		workers = len(required)
-	}
-	failed := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(required); i += workers {
-				if !durableAll(g.epochs[required[i]], image) {
-					failed[w] = true
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, f := range failed {
-		if f {
-			if v := checkOrderingRange(g, image, 0, 1, len(g.order)); v != nil {
-				return v
-			}
-			return nil
+		if p := w.lowest(g, int32(i), notDurable); p >= 0 {
+			return &OrderingViolation{Later: g.sums[i].ID, Earlier: g.sums[p].ID, Line: d.missing(p)}
 		}
 	}
 	return nil
@@ -296,45 +403,47 @@ func CheckOrderingParallel(g *Graph, image map[mem.Line]mem.Version, workers int
 // declared persisted is downward-closed under happens-before and fully
 // durable in the image.
 //
-// The screening checks each persisted epoch's durability once and its
-// DIRECT predecessors' flags — sufficient, because a set closed under
-// direct predecessors is closed under the transitive relation by
-// induction over the DAG. Only on failure does the original
-// transitive-walk scan run, preserving the exact deterministic error.
-func CheckPersistedClosed(g *Graph, image map[mem.Line]mem.Version) error {
+// The screening checks each persisted epoch's durability and its DIRECT
+// predecessors' flags — sufficient, because a set closed under direct
+// predecessors is closed under the transitive relation by induction over
+// the DAG. Only on failure does the per-epoch scan run, reporting the
+// lowest persisted epoch at fault and its lowest unpersisted predecessor.
+func (d *Durability) CheckPersistedClosed() error {
+	g := d.g
+	persisted := func(p int32) bool { return g.sums[p].PersistedFlag }
 	clean := true
-screen:
-	for _, id := range g.order {
-		s := g.epochs[id]
-		if !s.PersistedFlag {
-			continue
-		}
-		if !durableAll(s, image) {
+	for i, s := range g.sums {
+		if s.PersistedFlag && (!d.durable[i] || !g.eachPred(int32(i), persisted)) {
 			clean = false
 			break
-		}
-		for _, pid := range g.preds[id] {
-			if ps := g.epochs[pid]; ps != nil && !ps.PersistedFlag {
-				clean = false
-				break screen
-			}
 		}
 	}
 	if clean {
 		return nil
 	}
-	for _, id := range g.order {
-		s := g.epochs[id]
+	w := newWalker(len(g.sums))
+	unpersisted := func(p int32) bool { return !persisted(p) }
+	for i, s := range g.sums {
 		if !s.PersistedFlag {
 			continue
 		}
-		if line, ok := fullyDurable(s, image); !ok {
-			return fmt.Errorf("recovery: epoch %v declared persisted but line %v is not durable", id, line)
+		if !d.durable[i] {
+			return fmt.Errorf("recovery: epoch %v declared persisted but line %v is not durable", s.ID, d.missing(int32(i)))
 		}
-		for _, pid := range g.Predecessors(id) {
-			if ps := g.epochs[pid]; ps != nil && !ps.PersistedFlag {
-				return fmt.Errorf("recovery: persisted epoch %v has unpersisted predecessor %v", id, pid)
-			}
+		if p := w.lowest(g, int32(i), unpersisted); p >= 0 {
+			return fmt.Errorf("recovery: persisted epoch %v has unpersisted predecessor %v", s.ID, g.sums[p].ID)
+		}
+	}
+	return nil
+}
+
+// CheckAtomicity verifies that an image — a recovered one, after
+// Rollback — reflects whole epochs only: no line's version belongs to an
+// epoch that is not fully reflected. This is the BSP guarantee.
+func (d *Durability) CheckAtomicity() error {
+	for i, s := range d.g.sums {
+		if d.touched[i] && !d.durable[i] {
+			return fmt.Errorf("recovery: epoch %v is partially reflected after rollback (line %v missing)", s.ID, d.missing(int32(i)))
 		}
 	}
 	return nil
@@ -346,18 +455,24 @@ screen:
 // makes bulk-mode BSP epochs atomic. It returns the recovered image.
 func Rollback(g *Graph, image map[mem.Line]mem.Version, log []nvram.LogEntry) map[mem.Line]mem.Version {
 	recovered := make(map[mem.Line]mem.Version, len(image))
+	lines := make([]mem.Line, 0, len(image))
 	for l, v := range image {
 		recovered[l] = v
+		lines = append(lines, l)
 	}
+	slices.Sort(lines)
 	// Index undo entries by (epoch, line); last entry wins (there is at
-	// most one per epoch+line by construction).
+	// most one per epoch+line by construction). Entries of epochs outside
+	// the graph can never match a writer and are dropped.
 	type key struct {
-		id   epoch.ID
+		idx  int32
 		line mem.Line
 	}
 	undo := make(map[key]mem.Version, len(log))
 	for _, e := range log {
-		undo[key{epoch.ID{Core: e.EpochCore, Num: e.EpochNum}, e.Line}] = e.Old
+		if i, ok := g.index(epoch.ID{Core: e.EpochCore, Num: e.EpochNum}); ok {
+			undo[key{i, e.Line}] = e.Old
+		}
 	}
 	// Repeatedly roll back lines whose durable version came from an
 	// unpersisted epoch. Old values may themselves need further rollback
@@ -365,25 +480,16 @@ func Rollback(g *Graph, image map[mem.Line]mem.Version, log []nvram.LogEntry) ma
 	// strictly decreases some line's version, so it terminates.
 	for changed := true; changed; {
 		changed = false
-		lines := make([]mem.Line, 0, len(recovered))
-		for l := range recovered {
-			lines = append(lines, l)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 		for _, l := range lines {
 			v := recovered[l]
 			if v == mem.NoVersion {
 				continue
 			}
-			writer, known := g.WriterOf(v)
-			if !known {
+			w, known := g.writer(v)
+			if !known || g.sums[w].PersistedFlag {
 				continue
 			}
-			s := g.epochs[writer]
-			if s == nil || s.PersistedFlag {
-				continue
-			}
-			if old, ok := undo[key{writer, l}]; ok {
+			if old, ok := undo[key{w, l}]; ok {
 				recovered[l] = old
 				changed = true
 			}
@@ -392,36 +498,23 @@ func Rollback(g *Graph, image map[mem.Line]mem.Version, log []nvram.LogEntry) ma
 	return recovered
 }
 
-// CheckAtomicity verifies that a recovered image reflects whole epochs
-// only: no line's version belongs to an epoch that is not fully reflected
-// — the BSP guarantee after rollback.
-func CheckAtomicity(g *Graph, recovered map[mem.Line]mem.Version) error {
-	for _, id := range g.order {
-		s := g.epochs[id]
-		if !touched(s, recovered) {
-			continue
-		}
-		if line, ok := fullyDurable(s, recovered); !ok {
-			return fmt.Errorf("recovery: epoch %v is partially reflected after rollback (line %v missing)", id, line)
-		}
-	}
-	return nil
-}
-
 // CheckAll runs the ordering and closure checks, and — when an undo log is
 // supplied — rollback plus the atomicity check. It is the one-call entry
 // point used by tests and the harness.
-func CheckAll(histories [][]*epoch.Summary, image map[mem.Line]mem.Version, log []nvram.LogEntry, withRollback bool) error {
-	g := NewGraph(histories)
-	if err := CheckOrdering(g, image); err != nil {
+func CheckAll(histories [][]epoch.Summary, image map[mem.Line]mem.Version, log []nvram.LogEntry, withRollback bool) error {
+	g, err := NewGraph(histories)
+	if err != nil {
 		return err
 	}
-	if err := CheckPersistedClosed(g, image); err != nil {
+	d := g.Durability(image)
+	if err := d.CheckOrdering(); err != nil {
+		return err
+	}
+	if err := d.CheckPersistedClosed(); err != nil {
 		return err
 	}
 	if withRollback {
-		recovered := Rollback(g, image, log)
-		if err := CheckAtomicity(g, recovered); err != nil {
+		if err := g.Durability(Rollback(g, image, log)).CheckAtomicity(); err != nil {
 			return err
 		}
 	}

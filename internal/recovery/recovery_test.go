@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"persistbarriers/internal/epoch"
@@ -8,22 +10,50 @@ import (
 	"persistbarriers/internal/nvram"
 )
 
-func summary(core int, num uint64, persisted bool, writes map[mem.Line]mem.Version, deps ...epoch.ID) *epoch.Summary {
-	return &epoch.Summary{
+// summary builds one history entry; writes is given as a map for
+// brevity and stored as the sorted write set the epoch table produces.
+func summary(core int, num uint64, persisted bool, writes map[mem.Line]mem.Version, deps ...epoch.ID) epoch.Summary {
+	var ws epoch.WriteSet
+	for l, v := range writes {
+		ws = append(ws, epoch.Write{Line: l, Version: v})
+	}
+	slices.SortFunc(ws, func(a, b epoch.Write) int { return cmp.Compare(a.Line, b.Line) })
+	return epoch.Summary{
 		ID:            epoch.ID{Core: core, Num: num},
-		Writes:        writes,
+		Writes:        ws,
 		Deps:          deps,
 		PersistedFlag: persisted,
 	}
 }
 
+func mustGraph(t testing.TB, h [][]epoch.Summary) *Graph {
+	t.Helper()
+	g, err := NewGraph(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func checkOrdering(g *Graph, image map[mem.Line]mem.Version) error {
+	return g.Durability(image).CheckOrdering()
+}
+
+func checkPersistedClosed(g *Graph, image map[mem.Line]mem.Version) error {
+	return g.Durability(image).CheckPersistedClosed()
+}
+
+func checkAtomicity(g *Graph, image map[mem.Line]mem.Version) error {
+	return g.Durability(image).CheckAtomicity()
+}
+
 func TestGraphProgramOrderEdges(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
 		summary(0, 1, true, map[mem.Line]mem.Version{2: 20}),
 		summary(0, 2, false, map[mem.Line]mem.Version{3: 30}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	preds := g.Predecessors(epoch.ID{Core: 0, Num: 2})
 	if len(preds) != 2 {
 		t.Fatalf("predecessors = %v, want epochs 0 and 1", preds)
@@ -38,11 +68,11 @@ func TestGraphProgramOrderEdges(t *testing.T) {
 
 func TestGraphInterThreadEdges(t *testing.T) {
 	src := epoch.ID{Core: 0, Num: 0}
-	h := [][]*epoch.Summary{
+	h := [][]epoch.Summary{
 		{summary(0, 0, true, map[mem.Line]mem.Version{1: 10})},
 		{summary(1, 0, true, map[mem.Line]mem.Version{2: 20}, src)},
 	}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	preds := g.Predecessors(epoch.ID{Core: 1, Num: 0})
 	if len(preds) != 1 || preds[0] != src {
 		t.Fatalf("predecessors = %v, want [%v]", preds, src)
@@ -50,33 +80,33 @@ func TestGraphInterThreadEdges(t *testing.T) {
 }
 
 func TestCheckOrderingAcceptsPrefix(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10, 2: 11}),
 		summary(0, 1, false, map[mem.Line]mem.Version{3: 20}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	// Epoch 0 fully durable, epoch 1 not at all: fine.
 	img := map[mem.Line]mem.Version{1: 10, 2: 11}
-	if err := CheckOrdering(g, img); err != nil {
+	if err := checkOrdering(g, img); err != nil {
 		t.Fatalf("prefix image rejected: %v", err)
 	}
 	// Epoch 1 partially durable with epoch 0 complete: also fine under
 	// BEP (ordering, not atomicity).
 	img[3] = 20
-	if err := CheckOrdering(g, img); err != nil {
+	if err := checkOrdering(g, img); err != nil {
 		t.Fatalf("complete image rejected: %v", err)
 	}
 }
 
 func TestCheckOrderingDetectsViolation(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, false, map[mem.Line]mem.Version{1: 10, 2: 11}),
 		summary(0, 1, false, map[mem.Line]mem.Version{3: 20}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	// Epoch 1's line durable while epoch 0 is missing line 2.
 	img := map[mem.Line]mem.Version{1: 10, 3: 20}
-	err := CheckOrdering(g, img)
+	err := checkOrdering(g, img)
 	if err == nil {
 		t.Fatal("ordering violation not detected")
 	}
@@ -91,16 +121,16 @@ func TestCheckOrderingDetectsViolation(t *testing.T) {
 
 func TestCheckOrderingCrossThread(t *testing.T) {
 	src := epoch.ID{Core: 0, Num: 0}
-	h := [][]*epoch.Summary{
+	h := [][]epoch.Summary{
 		{summary(0, 0, false, map[mem.Line]mem.Version{1: 10})},
 		{summary(1, 0, false, map[mem.Line]mem.Version{2: 20}, src)},
 	}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	// Dependent epoch durable, source missing: violation.
-	if err := CheckOrdering(g, map[mem.Line]mem.Version{2: 20}); err == nil {
+	if err := checkOrdering(g, map[mem.Line]mem.Version{2: 20}); err == nil {
 		t.Fatal("cross-thread ordering violation not detected")
 	}
-	if err := CheckOrdering(g, map[mem.Line]mem.Version{1: 10, 2: 20}); err != nil {
+	if err := checkOrdering(g, map[mem.Line]mem.Version{1: 10, 2: 20}); err != nil {
 		t.Fatalf("valid cross-thread image rejected: %v", err)
 	}
 }
@@ -109,47 +139,47 @@ func TestCheckOrderingAllowsSupersededVersions(t *testing.T) {
 	// Epoch 0 wrote line 1 = v10; epoch 1 rewrote it = v20 (legal only
 	// after epoch 0 persisted). The image holding v20 must count epoch 0
 	// as durable.
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
 		summary(0, 1, true, map[mem.Line]mem.Version{1: 20, 2: 21}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	img := map[mem.Line]mem.Version{1: 20, 2: 21}
-	if err := CheckOrdering(g, img); err != nil {
+	if err := checkOrdering(g, img); err != nil {
 		t.Fatalf("superseded version rejected: %v", err)
 	}
 }
 
 func TestCheckPersistedClosed(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
 		summary(0, 1, true, map[mem.Line]mem.Version{2: 20}),
 	}}
-	g := NewGraph(h)
-	if err := CheckPersistedClosed(g, map[mem.Line]mem.Version{1: 10, 2: 20}); err != nil {
+	g := mustGraph(t, h)
+	if err := checkPersistedClosed(g, map[mem.Line]mem.Version{1: 10, 2: 20}); err != nil {
 		t.Fatalf("valid persisted set rejected: %v", err)
 	}
 	// Declared persisted but a line missing from the image.
-	if err := CheckPersistedClosed(g, map[mem.Line]mem.Version{1: 10}); err == nil {
+	if err := checkPersistedClosed(g, map[mem.Line]mem.Version{1: 10}); err == nil {
 		t.Fatal("missing durable line not detected")
 	}
 	// Persisted epoch with unpersisted predecessor.
-	h2 := [][]*epoch.Summary{{
+	h2 := [][]epoch.Summary{{
 		summary(0, 0, false, map[mem.Line]mem.Version{1: 10}),
 		summary(0, 1, true, map[mem.Line]mem.Version{2: 20}),
 	}}
-	g2 := NewGraph(h2)
-	if err := CheckPersistedClosed(g2, map[mem.Line]mem.Version{1: 10, 2: 20}); err == nil {
+	g2 := mustGraph(t, h2)
+	if err := checkPersistedClosed(g2, map[mem.Line]mem.Version{1: 10, 2: 20}); err == nil {
 		t.Fatal("non-closed persisted set not detected")
 	}
 }
 
 func TestRollbackErasesPartialEpoch(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10, 2: 11}),
 		summary(0, 1, false, map[mem.Line]mem.Version{1: 20, 3: 21}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	// Crash mid-flush of epoch 1: line 1's new version durable, line 3
 	// not. Undo log holds epoch 1's pre-images.
 	img := map[mem.Line]mem.Version{1: 20, 2: 11}
@@ -164,16 +194,16 @@ func TestRollbackErasesPartialEpoch(t *testing.T) {
 	if rec[2] != 11 {
 		t.Fatalf("line 2 = %d, want untouched 11", rec[2])
 	}
-	if err := CheckAtomicity(g, rec); err != nil {
+	if err := checkAtomicity(g, rec); err != nil {
 		t.Fatalf("recovered image not atomic: %v", err)
 	}
 }
 
 func TestRollbackLeavesPersistedEpochsAlone(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
 	}}
-	g := NewGraph(h)
+	g := mustGraph(t, h)
 	img := map[mem.Line]mem.Version{1: 10}
 	log := []nvram.LogEntry{{Line: 1, Old: mem.NoVersion, EpochCore: 0, EpochNum: 0}}
 	rec := Rollback(g, img, log)
@@ -183,17 +213,17 @@ func TestRollbackLeavesPersistedEpochsAlone(t *testing.T) {
 }
 
 func TestCheckAtomicityDetectsPartialEpoch(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, false, map[mem.Line]mem.Version{1: 10, 2: 11}),
 	}}
-	g := NewGraph(h)
-	if err := CheckAtomicity(g, map[mem.Line]mem.Version{1: 10}); err == nil {
+	g := mustGraph(t, h)
+	if err := checkAtomicity(g, map[mem.Line]mem.Version{1: 10}); err == nil {
 		t.Fatal("partial epoch not detected")
 	}
 }
 
 func TestCheckAllEndToEnd(t *testing.T) {
-	h := [][]*epoch.Summary{{
+	h := [][]epoch.Summary{{
 		summary(0, 0, true, map[mem.Line]mem.Version{1: 10}),
 		summary(0, 1, false, map[mem.Line]mem.Version{1: 20}),
 	}}

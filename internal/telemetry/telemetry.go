@@ -356,17 +356,6 @@ func (t *Tracer) ObserveReadPath(shard int, fast bool, d uint64) {
 	}
 }
 
-// ReadPathHist snapshots one shard's fast or fallback read histogram.
-func (t *Tracer) ReadPathHist(shard int, fast bool) HistSnapshot {
-	if t == nil || shard < 0 || shard >= len(t.shards) {
-		return HistSnapshot{}
-	}
-	if fast {
-		return t.shards[shard].fast.Snapshot()
-	}
-	return t.shards[shard].fallback.Snapshot()
-}
-
 // Ops reports how many completed operations shard has folded.
 func (t *Tracer) Ops(shard int) uint64 {
 	if t == nil || shard < 0 || shard >= len(t.shards) {
